@@ -1,10 +1,12 @@
 """Counting the crossings of two closed trigonometric plane curves.
 
-Pipeline: adaptive closed polylines -> uniform-grid candidate generation ->
-strict segment-crossing tests -> 2-D Newton refinement on the parameter
-torus -> dedup. Anything that looks non-transversal (refinement failure,
-near-singular Jacobian, odd total, overlapping polyline geometry) raises the
-``degenerate`` flag instead of guessing.
+Pipeline, as numpy array passes over one pair: adaptive closed polylines ->
+candidate segment pairs from a sort and sweep over the segment boxes ->
+strict segment-crossing tests -> one batched 2-D Newton refinement of every
+seed on the parameter torus -> dedup over the pairwise torus gaps. Anything
+that looks non-transversal (refinement failure, near-singular Jacobian, odd
+total, overlapping polyline geometry) raises the ``degenerate`` flag instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -77,8 +79,22 @@ class IntersectionResult:
     oracle_stable: bool | None = None
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
+def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _cross_tests(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+    """Orientation tests of segment p1p2 against q1q2, on floats or arrays.
+
+    Returns (d1, d2, d3, d4, proper); proper marks a transversal crossing of
+    the open segments. A zero d without one is an endpoint touch or a
+    collinear overlap.
+    """
+    d1 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
+    d2 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
+    d3 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
+    d4 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
+    return d1, d2, d3, d4, (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
 
 
 def segment_proper_cross(p1, p2, q1, q2) -> bool:
@@ -93,53 +109,55 @@ def segment_proper_cross(p1, p2, q1, q2) -> bool:
     q2x, q2y = float(q2[0]), float(q2[1])
     if (p1x == p2x and p1y == p2y) or (q1x == q2x and q1y == q2y):
         raise ValueError("zero-length segment")
-    d1 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
-    d2 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
-    d3 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
-    d4 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
-    return d1 * d2 < 0.0 and d3 * d4 < 0.0
+    return bool(_cross_tests(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y)[4])
 
 
-def _curve_lists(c: TrigCurve):
-    return (c.degree, c.xa.tolist(), c.xb.tolist(), c.ya.tolist(), c.yb.tolist())
+def _pair_matrix(f: TrigCurve, g: TrigCurve):
+    """Frequencies of f and g, and the rows and offset of the linear map from
+    the feature row [cos j*phi, cos k*psi, sin j*phi, sin k*psi]
+    (j = 1..deg f, k = 1..deg g) to (rx, ry, f'x, f'y, g'x, g'y), where
+    (rx, ry) = f(phi) - g(psi)."""
+    jf = np.arange(1.0, f.degree + 1)
+    jg = np.arange(1.0, g.degree + 1)
+    zf = np.zeros(f.degree)
+    zg = np.zeros(g.degree)
+    rows = np.array([
+        np.concatenate((f.xa[1:], -g.xa[1:], f.xb, -g.xb)),
+        np.concatenate((f.ya[1:], -g.ya[1:], f.yb, -g.yb)),
+        np.concatenate((jf * f.xb, zg, -jf * f.xa[1:], zg)),
+        np.concatenate((jf * f.yb, zg, -jf * f.ya[1:], zg)),
+        np.concatenate((zf, jg * g.xb, zf, -jg * g.xa[1:])),
+        np.concatenate((zf, jg * g.yb, zf, -jg * g.ya[1:])),
+    ]).T
+    offset = np.array([f.xa[0] - g.xa[0], f.ya[0] - g.ya[0], 0.0, 0.0, 0.0, 0.0])
+    return jf, jg, rows, offset
 
 
-def _xy_and_vel(cl, t: float):
-    """Position and velocity of a list-form curve at angle t (scalar path)."""
-    n, xa, xb, ya, yb = cl
-    x = xa[0]
-    y = ya[0]
-    dx = 0.0
-    dy = 0.0
-    for j in range(1, n + 1):
-        cj = math.cos(j * t)
-        sj = math.sin(j * t)
-        aj = xa[j]
-        bj = xb[j - 1]
-        cyj = ya[j]
-        dyj = yb[j - 1]
-        x += aj * cj + bj * sj
-        y += cyj * cj + dyj * sj
-        dx += j * (bj * cj - aj * sj)
-        dy += j * (dyj * cj - cyj * sj)
-    return x, y, dx, dy
+def _newton_batch(f: TrigCurve, g: TrigCurve, phi, psi, res_tol: float, cfg: CountingConfig):
+    """Newton on F(phi, psi) = f(phi) - g(psi) from every seed at once.
 
-
-def _newton(fl, gl, phi, psi, res_tol, max_iters, degen_thresh):
-    """Newton on F(phi, psi) = f(phi) - g(psi); returns (phi, psi, det) or None."""
-    for _ in range(max_iters + 1):
-        fx, fy, dfx, dfy = _xy_and_vel(fl, phi)
-        gx, gy, dgx, dgy = _xy_and_vel(gl, psi)
-        rx = fx - gx
-        ry = fy - gy
+    Each pass tests the Jacobian first, then the residual, then steps; a seed
+    that turned near-singular or converged is frozen, and so stays so on the
+    next pass. Returns (phi, psi, det, ok): the seeds wrapped to the torus,
+    det(f', -g') at each, and ok where the seed converged.
+    """
+    jf, jg, rows, offset = _pair_matrix(f, g)
+    phi = np.array(phi, dtype=float)
+    psi = np.array(psi, dtype=float)
+    for _ in range(cfg.max_newton_iters + 1):
+        angles = np.concatenate((np.multiply.outer(phi, jf), np.multiply.outer(psi, jg)), axis=1)
+        values = np.concatenate((np.cos(angles), np.sin(angles)), axis=1) @ rows + offset
+        rx, ry, dfx, dfy, dgx, dgy = values.T
         det = dgx * dfy - dfx * dgy
-        if abs(det) < degen_thresh:
-            return None
-        if math.hypot(rx, ry) <= res_tol:
-            return (phi % TWO_PI, psi % TWO_PI, det)
-        phi += (rx * dgy - ry * dgx) / det
-        psi += (rx * dfy - ry * dfx) / det
-    return None
+        singular = np.abs(det) < cfg.degeneracy_threshold
+        ok = ~singular & (np.hypot(rx, ry) <= res_tol)
+        step = ~(singular | ok)
+        if not step.any():
+            break
+        safe = np.where(step, det, 1.0)  # no division by a singular det
+        phi = np.where(step, phi + (rx * dgy - ry * dgx) / safe, phi)
+        psi = np.where(step, psi + (rx * dfy - ry * dfx) / safe, psi)
+    return np.mod(phi, TWO_PI), np.mod(psi, TWO_PI), det, ok
 
 
 def newton_refine(f: TrigCurve, g: TrigCurve, phi0: float, psi0: float,
@@ -147,10 +165,9 @@ def newton_refine(f: TrigCurve, g: TrigCurve, phi0: float, psi0: float,
     """Refine a crossing seed; returns (phi, psi, det_J) wrapped to the torus,
     or None when iterations run out or the Jacobian turns near-singular."""
     cfg = cfg or CountingConfig()
-    scale = point_radius_bound(max(f.degree, g.degree), 0)
-    res_tol = 10.0 * cfg.newton_tol * scale
-    return _newton(_curve_lists(f), _curve_lists(g), float(phi0), float(psi0),
-                   res_tol, cfg.max_newton_iters, cfg.degeneracy_threshold)
+    res_tol = 10.0 * cfg.newton_tol * point_radius_bound(max(f.degree, g.degree), 0)
+    phi, psi, det, ok = _newton_batch(f, g, [float(phi0)], [float(psi0)], res_tol, cfg)
+    return (float(phi[0]), float(psi[0]), float(det[0])) if ok[0] else None
 
 
 def _closed_polyline(c: TrigCurve, m: int):
@@ -159,29 +176,57 @@ def _closed_polyline(c: TrigCurve, m: int):
     return evaluate_many(c, phis)
 
 
-def _segment_boxes(xs: np.ndarray, ys: np.ndarray, inv_cell: float):
-    """Per-segment bounding boxes and grid cell ranges, as plain lists."""
-    x1 = xs[:-1]
-    x2 = xs[1:]
-    y1 = ys[:-1]
-    y2 = ys[1:]
-    bx0 = np.minimum(x1, x2)
-    bx1 = np.maximum(x1, x2)
-    by0 = np.minimum(y1, y2)
-    by1 = np.maximum(y1, y2)
-    ix0 = np.floor(bx0 * inv_cell).astype(np.int64)
-    ix1 = np.floor(bx1 * inv_cell).astype(np.int64)
-    iy0 = np.floor(by0 * inv_cell).astype(np.int64)
-    iy1 = np.floor(by1 * inv_cell).astype(np.int64)
-    return (
-        bx0.tolist(), bx1.tolist(), by0.tolist(), by1.tolist(),
-        ix0.tolist(), ix1.tolist(), iy0.tolist(), iy1.tolist(),
-    )
+def _live_segments(xs: np.ndarray, ys: np.ndarray):
+    """Indices and bounding boxes (x0, x1, y0, y1) of the non-zero-length
+    segments of a polyline."""
+    x1, x2, y1, y2 = xs[:-1], xs[1:], ys[:-1], ys[1:]
+    idx = np.flatnonzero((x1 != x2) | (y1 != y2))
+    x1, x2, y1, y2 = x1[idx], x2[idx], y1[idx], y2[idx]
+    return idx, np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
 
 
-def _torus_gap(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _polyline_crossings(fx, fy, gx, gy):
+    """Proper crossings of two polylines, from a sort and sweep over their
+    segment boxes.
+
+    Returns (i, j, t, s, touch): the f and g segment of each crossing, the
+    fractions t and s of the way along them, and whether any pair of
+    overlapping boxes held a touch or a collinear overlap.
+    """
+    fi, fx0, fx1, fy0, fy1 = _live_segments(fx, fy)
+    gj, gx0, gx1, gy0, gy1 = _live_segments(gx, gy)
+    order = np.argsort(fx0, kind="stable")
+    fi, fx0, fx1, fy0, fy1 = fi[order], fx0[order], fx1[order], fy0[order], fy1[order]
+    # with f's boxes in x-min order, the boxes that can meet g box b run from
+    # the first whose running x-max reaches b's x-min to the last whose x-min
+    # is at most b's x-max
+    lo = np.searchsorted(np.maximum.accumulate(fx1), gx0, "left")
+    width = np.maximum(np.searchsorted(fx0, gx1, "right") - lo, 0)
+    a = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
+    hit = ((fx1[a] >= np.repeat(gx0, width)) & (fy0[a] <= np.repeat(gy1, width))
+           & (fy1[a] >= np.repeat(gy0, width)))
+    i = fi[a[hit]]
+    j = np.repeat(gj, width)[hit]
+    d1, d2, d3, d4, proper = _cross_tests(
+        fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])
+    touch = bool(np.any(~proper & ((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0))))
+    d1, d2, d3, d4 = d1[proper], d2[proper], d3[proper], d4[proper]
+    return i[proper], j[proper], d3 / (d3 - d4), d1 / (d1 - d2), touch
+
+
+def _first_of_clusters(phi: np.ndarray, psi: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the roots with no earlier root within radius in both torus
+    coordinates; the angles are wrapped to [0, 2*pi]. Rows are taken 256 at a
+    time to bound the gap matrices."""
+    keep = np.empty(phi.size, dtype=bool)
+    for lo in range(0, phi.size, 256):
+        hi = min(lo + 256, phi.size)
+        near = np.ones((hi - lo, hi), dtype=bool)
+        for x in (phi, psi):
+            d = np.abs(x[lo:hi, None] - x[:hi])
+            near &= np.minimum(d, TWO_PI - d) <= radius
+        keep[lo:hi] = ~np.tril(near, lo - 1).any(axis=1)
+    return keep
 
 
 def count_intersections(f: TrigCurve, g: TrigCurve,
@@ -207,107 +252,20 @@ def count_intersections(f: TrigCurve, g: TrigCurve,
 
     mf = max(_MIN_VERTICES, math.ceil(TWO_PI * lf / seg_target))
     mg = max(_MIN_VERTICES, math.ceil(TWO_PI * lg / seg_target))
-    fxa, fya = _closed_polyline(f, mf)
-    gxa, gya = _closed_polyline(g, mg)
-    fxs = fxa.tolist()
-    fys = fya.tolist()
-    gxs = gxa.tolist()
-    gys = gya.tolist()
+    fx, fy = _closed_polyline(f, mf)
+    gx, gy = _closed_polyline(g, mg)
+    i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
 
-    cell = 2.0 * seg_target
-    inv_cell = 1.0 / cell
-    _, _, _, _, fix0, fix1, fiy0, fiy1 = _segment_boxes(fxa, fya, inv_cell)
-    gbx0, gbx1, gby0, gby1, gix0, gix1, giy0, giy1 = _segment_boxes(gxa, gya, inv_cell)
-
-    # hashed uniform grid over f's segments; keys mix the two cell indices
-    grid: dict[int, list[int]] = {}
-    for i in range(mf):
-        if fxs[i] == fxs[i + 1] and fys[i] == fys[i + 1]:
-            continue
-        for ix in range(fix0[i], fix1[i] + 1):
-            base = ix * 0x1000003
-            for iy in range(fiy0[i], fiy1[i] + 1):
-                key = base + iy
-                bucket = grid.get(key)
-                if bucket is None:
-                    grid[key] = [i]
-                else:
-                    bucket.append(i)
-
-    step_f = TWO_PI / mf
-    step_g = TWO_PI / mg
-    seeds: list[tuple[float, float]] = []
-    touch = False
-    last_seen = [-1] * mf
-    for jseg in range(mg):
-        q1x = gxs[jseg]
-        q1y = gys[jseg]
-        q2x = gxs[jseg + 1]
-        q2y = gys[jseg + 1]
-        if q1x == q2x and q1y == q2y:
-            continue
-        bx0 = gbx0[jseg]
-        bx1 = gbx1[jseg]
-        by0 = gby0[jseg]
-        by1 = gby1[jseg]
-        for ix in range(gix0[jseg], gix1[jseg] + 1):
-            base = ix * 0x1000003
-            for iy in range(giy0[jseg], giy1[jseg] + 1):
-                bucket = grid.get(base + iy)
-                if bucket is None:
-                    continue
-                for i in bucket:
-                    if last_seen[i] == jseg:
-                        continue
-                    last_seen[i] = jseg
-                    p1x = fxs[i]
-                    p1y = fys[i]
-                    p2x = fxs[i + 1]
-                    p2y = fys[i + 1]
-                    # reject disjoint boxes before the orientation tests
-                    if p1x > bx1 and p2x > bx1:
-                        continue
-                    if p1x < bx0 and p2x < bx0:
-                        continue
-                    if p1y > by1 and p2y > by1:
-                        continue
-                    if p1y < by0 and p2y < by0:
-                        continue
-                    d1 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
-                    d2 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
-                    d3 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
-                    d4 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
-                    if d1 * d2 < 0.0 and d3 * d4 < 0.0:
-                        t = d3 / (d3 - d4)
-                        s = d1 / (d1 - d2)
-                        seeds.append(((i + t) * step_f, (jseg + s) * step_g))
-                    elif d1 == 0.0 or d2 == 0.0 or d3 == 0.0 or d4 == 0.0:
-                        # exact touch or collinear overlap: non-generic geometry
-                        touch = True
-
-    fl = _curve_lists(f)
-    gl = _curve_lists(g)
-    scale = point_radius_bound(f.degree, 0)
-    res_tol = 10.0 * cfg.newton_tol * scale
-    failed = False
-    roots: list[tuple[float, float, float]] = []
-    dedupe = cfg.dedupe_radius
-    for phi0, psi0 in seeds:
-        hit = _newton(fl, gl, phi0, psi0, res_tol, cfg.max_newton_iters,
-                      cfg.degeneracy_threshold)
-        if hit is None:
-            failed = True
-            continue
-        phi, psi, det = hit
-        for rp, rq, _ in roots:
-            if _torus_gap(phi, rp) <= dedupe and _torus_gap(psi, rq) <= dedupe:
-                break
-        else:
-            roots.append((phi, psi, det))
-
-    roots.sort(key=lambda rec: (rec[0], rec[1]))
-    solutions = [(phi, psi) for phi, psi, _ in roots]
-    min_abs_det = min((abs(det) for _, _, det in roots), default=math.inf)
+    res_tol = 10.0 * cfg.newton_tol * point_radius_bound(f.degree, 0)
+    phi, psi, det, ok = _newton_batch(f, g, (i + t) * (TWO_PI / mf), (j + s) * (TWO_PI / mg),
+                                      res_tol, cfg)
+    failed = not ok.all()
+    phi, psi, det = phi[ok], psi[ok], det[ok]
+    keep = _first_of_clusters(phi, psi, cfg.dedupe_radius)
+    phi, psi, det = phi[keep], psi[keep], det[keep]
+    order = np.lexsort((psi, phi))
+    solutions = list(zip(phi[order].tolist(), psi[order].tolist()))
+    min_abs_det = float(np.min(np.abs(det), initial=math.inf))
     count = len(solutions)
     degenerate = (
         touch

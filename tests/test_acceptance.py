@@ -23,6 +23,8 @@ from curvecross.intersect import brute_force_count, count_intersections
 from curvecross.montecarlo import ExperimentConfig, corollary2_check, run_experiment
 from curvecross.sampling import SeedSpec, sample_pair
 
+pytestmark = pytest.mark.slow
+
 
 def _report(capsys, num, desc, ok, detail=""):
     line = f"[acceptance] {'PASS' if ok else 'FAIL'} criterion {num}: {desc}"

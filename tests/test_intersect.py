@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from curvecross.intersect import (
     CountingConfig,
     brute_force_count,
     count_intersections,
+    _newton_batch,
+    _polyline_crossings,
     newton_refine,
     segment_proper_cross,
 )
@@ -26,6 +30,12 @@ def shifted_circle() -> TrigCurve:
 
 def far_small_circle() -> TrigCurve:
     return TrigCurve(1, [3.0, 0.2], [0.0], [0.0, 0.0], [0.2])
+
+
+def tangent_circle() -> TrigCurve:
+    # (2 - cos psi, sin psi): touches the unit circle at (1, 0), the vertex at
+    # parameter 0 of both polylines
+    return TrigCurve(1, [2.0, -1.0], [0.0], [0.0, 0.0], [1.0])
 
 
 class TestSegmentProperCross:
@@ -79,6 +89,7 @@ class TestTwoCircleFixtures:
             assert p.x == pytest.approx(0.75, abs=1e-9)
             assert abs(p.y) == pytest.approx(math.sqrt(1 - 0.75**2), abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
     def test_disjoint_images(self):
         res = count_intersections(unit_circle(), far_small_circle())
         assert res.count == 0
@@ -86,8 +97,19 @@ class TestTwoCircleFixtures:
         assert res.solutions == []
         assert math.isinf(res.min_abs_det)
 
+    @pytest.mark.filterwarnings("error")
     def test_coincident_images_flagged(self):
         res = count_intersections(unit_circle(), unit_circle())
+        assert res.degenerate
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_touch_flagged(self):
+        # the polylines meet only at their shared vertex: no crossing seed,
+        # so the touch test alone must raise the flag
+        res = count_intersections(unit_circle(), tangent_circle())
+        assert res.degenerate
+        assert res.count == 0
+        res = count_intersections(tangent_circle(), unit_circle())
         assert res.degenerate
 
     def test_brute_force_fixtures(self):
@@ -118,8 +140,40 @@ class TestNewton:
         assert hit is not None
         assert hit[0] == phi_true and hit[1] == psi_true
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_family_fails(self):
         assert newton_refine(unit_circle(), unit_circle(), 0.3, 0.7) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_tangency_fails(self):
+        # the Jacobian vanishes at the tangent point
+        assert newton_refine(unit_circle(), tangent_circle(), 0.0, 0.0) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_curves_fail(self):
+        point = TrigCurve(0, [0.1], [], [0.2], [])
+        assert newton_refine(point, point, 0.3, 0.7) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_freezes_singular_seed(self):
+        # the first seed sits on the tangency, where det is exactly 0, while
+        # the second one still steps: the batch must not divide by that det
+        phi, psi, det, ok = _newton_batch(unit_circle(), tangent_circle(), [0.0, 0.3], [0.0, 2.9],
+                                    1e-11, CountingConfig())
+        assert det[0] == 0.0
+        assert not ok[0]
+
+    def test_batch_matches_single_seeds(self):
+        phi_true = math.acos(0.75)
+        seeds = [(phi_true + 0.01, math.pi - phi_true - 0.02), (-phi_true + 0.02, math.pi + phi_true),
+                 (0.3, 0.7)]
+        phi, psi, det, ok = _newton_batch(unit_circle(), shifted_circle(), *zip(*seeds),
+                                    10.0 * 1e-12 * point_radius_bound(1, 0), CountingConfig())
+        for k, (p0, q0) in enumerate(seeds):
+            hit = newton_refine(unit_circle(), shifted_circle(), p0, q0)
+            assert (hit is not None) == ok[k]
+            if hit is not None:
+                assert hit == pytest.approx((phi[k], psi[k], det[k]), abs=1e-12)
 
 
 class TestConstantCurves:
@@ -197,6 +251,20 @@ class TestRandomPairs:
                     gap = math.hypot(min(dphi, TWO_PI - dphi), min(dpsi, TWO_PI - dpsi))
                     assert gap > cfg.dedupe_radius
 
+    def test_translation_invariance(self):
+        # the residual subtracts the constant terms first, so a far common
+        # offset costs no precision and raises no flag
+        def shifted(c, t):
+            offset = np.zeros(c.degree + 1)
+            offset[0] = t
+            return TrigCurve(c.degree, c.xa + offset, c.xb, c.ya - offset, c.yb)
+
+        for i in range(60):
+            pair = sample_pair(2, 0, SeedSpec(5, i))
+            res = count_intersections(pair.f, pair.g)
+            far = count_intersections(shifted(pair.f, 1e6), shifted(pair.g, 1e6))
+            assert (far.count, far.degenerate) == (res.count, res.degenerate)
+
     def test_rotation_invariance(self):
         theta = 0.731
         checked = 0
@@ -224,3 +292,87 @@ class TestCountingConfig:
         fine = CountingConfig(seg_target=0.005)
         res = count_intersections(unit_circle(), shifted_circle(), fine)
         assert res.count == 2
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _dense_crossings(fx, fy, gx, gy):
+    """All-pairs reference for the sweep: the proper crossings as a set of
+    (i, j), and whether any box-overlapping pair touched."""
+    crossings = set()
+    touch = False
+    for i in range(fx.size - 1):
+        for j in range(gx.size - 1):
+            p1, p2 = (fx[i], fy[i]), (fx[i + 1], fy[i + 1])
+            q1, q2 = (gx[j], gy[j]), (gx[j + 1], gy[j + 1])
+            if p1 == p2 or q1 == q2:
+                continue
+            if (max(p1[0], p2[0]) < min(q1[0], q2[0]) or min(p1[0], p2[0]) > max(q1[0], q2[0])
+                    or max(p1[1], p2[1]) < min(q1[1], q2[1])
+                    or min(p1[1], p2[1]) > max(q1[1], q2[1])):
+                continue
+            if segment_proper_cross(p1, p2, q1, q2):
+                crossings.add((i, j))
+            else:
+                touch |= 0.0 in (_orient(p1, p2, q1), _orient(p1, p2, q2),
+                                 _orient(q1, q2, p1), _orient(q1, q2, p2))
+    return crossings, touch
+
+
+class TestSweep:
+    """The sort-and-sweep candidate pass against an all-pairs loop."""
+
+    @staticmethod
+    def _check(fx, fy, gx, gy):
+        i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
+        crossings, dense_touch = _dense_crossings(fx, fy, gx, gy)
+        assert set(zip(i.tolist(), j.tolist())) == crossings
+        assert len(crossings) == i.size
+        assert touch == dense_touch
+        assert np.all((t > 0) & (t < 1) & (s > 0) & (s < 1))
+
+    def test_random_polylines(self):
+        rng = np.random.default_rng(7)
+        for size in (2, 5, 40):
+            for _ in range(20):
+                fx, fy, gx, gy = rng.normal(size=(4, size))
+                self._check(fx, fy, gx, gy)
+
+    def test_grid_polylines_with_touches(self):
+        # integer vertices make shared vertices, collinear overlaps, zero-length
+        # segments and vertical or horizontal boxes common
+        rng = np.random.default_rng(8)
+        touched = 0
+        for _ in range(200):
+            fx, fy, gx, gy = rng.integers(0, 4, size=(4, 12)).astype(float)
+            self._check(fx, fy, gx, gy)
+            touched += _polyline_crossings(fx, fy, gx, gy)[4]
+        assert touched > 50
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_inputs(self):
+        one = np.array([0.5])
+        square = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
+        for fx, fy, gx, gy in ((one, one, square, square[::-1]),
+                               (square, square[::-1], one, one),
+                               (np.zeros(4), np.zeros(4), square, square[::-1])):
+            i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
+            assert i.size == j.size == t.size == s.size == 0
+            assert not touch
+
+
+class TestGoldenCounts:
+    def test_counts_and_flags_unchanged(self):
+        # (count, degenerate) of fixed pairs at N in {1, 2, 3, 4, 8}, r in {0, 1},
+        # recorded from the hashed-grid counter that the sweep replaced
+        golden = json.loads((Path(__file__).parent / "golden_counts.json").read_text())
+        for cell, expected in golden["cells"].items():
+            N, r = (int(v) for v in cell[1:].split("r"))
+            got = []
+            for i in range(golden["pairs_per_cell"]):
+                pair = sample_pair(N, r, SeedSpec(golden["master_seed"], i))
+                res = count_intersections(pair.f, pair.g)
+                got.append(f"{res.count}{'*' if res.degenerate else ''}")
+            assert " ".join(got) == expected, cell

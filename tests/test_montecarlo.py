@@ -98,6 +98,7 @@ class TestRunExperiment:
         assert result.degenerate_discards > 2
         assert result.histogram.keys() == {0}
 
+    @pytest.mark.slow
     def test_stderr_scales_inverse_root_n(self):
         sizes = (10_000, 40_000, 160_000)
         errs = [

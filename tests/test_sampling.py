@@ -92,6 +92,7 @@ class TestPairSampler:
         b = sample_pair(2, 0, SeedSpec(8, 3))
         assert a.f == b.f and a.g == b.g
 
+    @pytest.mark.slow
     def test_component_norms_uncorrelated(self):
         n_draws = 100_000
         norms = np.empty((n_draws, 2))
