@@ -1,11 +1,11 @@
 """Compare two source checkouts with the benchmark and write a BENCH file.
 
 Runs ``benchmarks/run.py`` in each checkout, alternating which one goes
-first, for every workload; then one traced run per checkout; then a few
-confirming pairs on the held-out seed. Each checkout runs its own copy of the
+first, for every workload; then a few confirming pairs on the held-out seed;
+then a few pairs of traced runs. Each checkout runs its own copy of the
 benchmark, so give both the same ``benchmarks/`` tree. Reports, per workload
-and end-to-end metric, each side's runs, median and quartiles and how many
-pairs the change won.
+and metric, each side's runs, median and quartiles and how many pairs the
+change won. A section with zero pairs is left out.
 
     python scripts/bench_pairs.py --parent ../parent --change . --pairs 10 --out BENCH_2.json
 """
@@ -25,7 +25,7 @@ TRACED = ("intersect.count_self_s", "intersect.count_busy_s", "curves.eval_busy_
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
-    """One benchmark run; returns its metric values, correctness and report file."""
+    """One benchmark run: its correctness, metric values and parts of its report."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -37,6 +37,7 @@ def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "machine": report["machine"],
         "absent_spans": report.get("absent_spans"),
+        "cells": report.get("cells"),
     }
 
 
@@ -47,25 +48,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def alternate(parent: Path, change: Path, workload: str, seed: int, pairs: int) -> list:
+def alternate(parent: Path, change: Path, workload: str, seed: int, pairs: int,
+              trace: int = 0) -> list:
     """Pairs of (parent run, change run), the first side alternating."""
     rows = []
     for k in range(pairs):
         if k % 2 == 0:
-            p = run(parent, workload, seed)
-            c = run(change, workload, seed)
+            p = run(parent, workload, seed, trace)
+            c = run(change, workload, seed, trace)
         else:
-            c = run(change, workload, seed)
-            p = run(parent, workload, seed)
+            c = run(change, workload, seed, trace)
+            p = run(parent, workload, seed, trace)
         rows.append((p, c))
-        print(f"{workload} seed {seed} pair {k}: parent {p['metrics']} change {c['metrics']}",
-              file=sys.stderr, flush=True)
+        print(f"{workload} seed {seed} trace {trace} pair {k}: "
+              f"parent {p['metrics']} change {c['metrics']}", file=sys.stderr, flush=True)
     return rows
 
 
-def summarize(rows: list, better: dict) -> dict:
+def summarize(rows: list, better: dict, names=None) -> dict:
     out = {}
-    for name in rows[0][0]["metrics"]:
+    for name in names or rows[0][0]["metrics"]:
         p = [r[0]["metrics"][name] for r in rows]
         c = [r[1]["metrics"][name] for r in rows]
         sign = 1.0 if better[name] == "higher" else -1.0
@@ -90,30 +92,36 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--confirm-seed", type=int, default=7919)
     ap.add_argument("--confirm-pairs", type=int, default=3)
+    ap.add_argument("--traced-pairs", type=int, default=3)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
     doc = {"seed": args.seed, "confirm_seed": args.confirm_seed, "workloads": {}}
     for workload in args.workloads.split(","):
         rows = alternate(args.parent, args.change, workload, args.seed, args.pairs)
         confirm = alternate(args.parent, args.change, workload, args.confirm_seed,
                             args.confirm_pairs)
-        traced = {side: run(path, workload, args.seed, trace=1)
-                  for side, path in (("parent", args.parent), ("change", args.change))}
-        doc["workloads"][workload] = {
-            "all_correct": all(r["correct"] for pair in rows + confirm for r in pair)
-                           and all(t["correct"] for t in traced.values()),
-            "end_to_end": summarize(rows, better),
-            "confirm": summarize(confirm, better),
-            "traced": {side: {k: t["metrics"].get(k) for k in TRACED}
-                       for side, t in traced.items()},
-            "absent_spans": {side: t["absent_spans"] for side, t in traced.items()},
-        }
-        doc["machine"] = {side: rows[-1][i]["machine"] for i, side in enumerate(("parent", "change"))}
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        traced = alternate(args.parent, args.change, workload, args.seed, args.traced_pairs,
+                           trace=1)
+        entry = {"all_correct": all(r["correct"] for pair in rows + confirm + traced
+                                    for r in pair)}
+        if rows:
+            entry["end_to_end"] = summarize(rows, better)
+        if confirm:
+            entry["confirm"] = summarize(confirm, better)
+        if traced:
+            entry["traced"] = summarize(traced, better, TRACED)
+            entry["absent_spans"] = {side: traced[-1][i]["absent_spans"]
+                                     for i, side in enumerate(("parent", "change"))}
+            entry["traced_cells"] = {side: traced[-1][i]["cells"]
+                                     for i, side in enumerate(("parent", "change"))}
+        doc["workloads"][workload] = entry
+        last = (rows or confirm or traced)[-1]
+        doc["machine"] = {side: last[i]["machine"] for i, side in enumerate(("parent", "change"))}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")  # kept if a later workload fails
     return 0
 
 

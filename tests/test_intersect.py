@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from curvecross.curves import TrigCurve, evaluate, point_radius_bound
 from curvecross.intersect import (
     CountingConfig,
-    brute_force_count,
-    count_intersections,
     _newton_batch,
     _polyline_crossings,
+    brute_force_count,
+    count_intersections,
     newton_refine,
     segment_proper_cross,
 )
@@ -159,7 +159,7 @@ class TestNewton:
         # the first seed sits on the tangency, where det is exactly 0, while
         # the second one still steps: the batch must not divide by that det
         phi, psi, det, ok = _newton_batch(unit_circle(), tangent_circle(), [0.0, 0.3], [0.0, 2.9],
-                                    1e-11, CountingConfig())
+                                          1e-11, CountingConfig())
         assert det[0] == 0.0
         assert not ok[0]
 
@@ -168,7 +168,7 @@ class TestNewton:
         seeds = [(phi_true + 0.01, math.pi - phi_true - 0.02), (-phi_true + 0.02, math.pi + phi_true),
                  (0.3, 0.7)]
         phi, psi, det, ok = _newton_batch(unit_circle(), shifted_circle(), *zip(*seeds),
-                                    10.0 * 1e-12 * point_radius_bound(1, 0), CountingConfig())
+                                          10.0 * 1e-12 * point_radius_bound(1, 0), CountingConfig())
         for k, (p0, q0) in enumerate(seeds):
             hit = newton_refine(unit_circle(), shifted_circle(), p0, q0)
             assert (hit is not None) == ok[k]
