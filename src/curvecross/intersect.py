@@ -205,8 +205,11 @@ def _polyline_crossings(fx, fy, gx, gy):
     a = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
     hit = ((fx1[a] >= np.repeat(gx0, width)) & (fy0[a] <= np.repeat(gy1, width))
            & (fy1[a] >= np.repeat(gy0, width)))
+    # seeds in g-segment order, then f-segment order, whatever the sweep order
     i = fi[a[hit]]
     j = np.repeat(gj, width)[hit]
+    order = np.lexsort((i, j))
+    i, j = i[order], j[order]
     d1, d2, d3, d4, proper = _cross_tests(
         fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])
     touch = bool(np.any(~proper & ((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0))))
@@ -215,17 +218,21 @@ def _polyline_crossings(fx, fy, gx, gy):
 
 
 def _first_of_clusters(phi: np.ndarray, psi: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of the roots with no earlier root within radius in both torus
-    coordinates; the angles are wrapped to [0, 2*pi]. Rows are taken 256 at a
-    time to bound the gap matrices."""
-    keep = np.empty(phi.size, dtype=bool)
+    """Mask of the roots kept when each root, in order, is dropped if a root
+    already kept lies within radius in both torus coordinates; the angles are
+    wrapped to [0, 2*pi]. Rows are taken 256 at a time to bound the gap
+    matrices, and only rows with an earlier close root are decided one by one."""
+    keep = np.ones(phi.size, dtype=bool)
     for lo in range(0, phi.size, 256):
         hi = min(lo + 256, phi.size)
         near = np.ones((hi - lo, hi), dtype=bool)
         for x in (phi, psi):
             d = np.abs(x[lo:hi, None] - x[:hi])
             near &= np.minimum(d, TWO_PI - d) <= radius
-        keep[lo:hi] = ~np.tril(near, lo - 1).any(axis=1)
+        near = np.tril(near, lo - 1)
+        for k in np.flatnonzero(near.any(axis=1)):
+            # near[k] marks earlier roots only, whose keep is already final
+            keep[lo + k] = not (keep[:hi] & near[k]).any()
     return keep
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from curvecross.curves import TrigCurve, evaluate, point_radius_bound
 from curvecross.intersect import (
     CountingConfig,
+    _first_of_clusters,
     _newton_batch,
     _polyline_crossings,
     brute_force_count,
@@ -332,6 +333,7 @@ class TestSweep:
         assert len(crossings) == i.size
         assert touch == dense_touch
         assert np.all((t > 0) & (t < 1) & (s > 0) & (s < 1))
+        assert np.all(np.lexsort((i, j)) == np.arange(i.size))  # g, then f order
 
     def test_random_polylines(self):
         rng = np.random.default_rng(7)
@@ -361,6 +363,49 @@ class TestSweep:
             i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
             assert i.size == j.size == t.size == s.size == 0
             assert not touch
+
+
+def _kept_loop(phi, psi, radius):
+    """Reference dedup: keep a root unless a root kept before it is close."""
+    kept = []
+    for k in range(phi.size):
+        gaps = [(abs(phi[k] - phi[m]) % TWO_PI, abs(psi[k] - psi[m]) % TWO_PI) for m in kept]
+        if not any(min(a, TWO_PI - a) <= radius and min(b, TWO_PI - b) <= radius
+                   for a, b in gaps):
+            kept.append(k)
+    return [k in kept for k in range(phi.size)]
+
+
+class TestDedup:
+    def test_chain_keeps_both_ends(self):
+        # A ~ B and B ~ C, but C is not near A: B goes, A and C stay
+        r = 1e-6
+        phi = np.array([1.0, 1.0 + 0.8 * r, 1.0 + 1.6 * r])
+        psi = np.array([2.0, 2.0, 2.0])
+        assert _first_of_clusters(phi, psi, r).tolist() == [True, False, True]
+
+    def test_wraps_around_the_torus(self):
+        r = 1e-6
+        phi = np.array([0.0, TWO_PI - 0.5 * r, 3.0])
+        psi = np.array([TWO_PI, 0.25 * r, 3.0])
+        assert _first_of_clusters(phi, psi, r).tolist() == [True, False, True]
+
+    def test_matches_loop_across_blocks(self):
+        # 600 roots in tight clumps and chains, so rows in later blocks of 256
+        # depend on roots kept in earlier ones
+        rng = np.random.default_rng(11)
+        r = 1e-3
+        centers = rng.uniform(0.0, TWO_PI, size=(120, 2))
+        pts = np.repeat(centers, 5, axis=0) + rng.uniform(-1.5 * r, 1.5 * r, size=(600, 2))
+        pts = np.mod(pts[rng.permutation(600)], TWO_PI)
+        phi, psi = pts.T
+        keep = _first_of_clusters(phi, psi, r)
+        assert keep.tolist() == _kept_loop(phi, psi, r)
+        assert 120 < keep.sum() < 600
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty(self):
+        assert _first_of_clusters(np.empty(0), np.empty(0), 1e-6).size == 0
 
 
 class TestGoldenCounts:
