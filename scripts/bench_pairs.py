@@ -1,13 +1,14 @@
 """Compare two source checkouts with the benchmark and write a BENCH file.
 
-Runs ``benchmarks/run.py`` in each checkout, alternating which one goes
-first, for every workload; then a few confirming pairs on the held-out seed;
-then a few pairs of traced runs. Each checkout runs its own copy of the
-benchmark, so give both the same ``benchmarks/`` tree. Reports, per workload
-and metric, each side's runs, median and quartiles and how many pairs the
-change won. A section with zero pairs is left out.
+For every workload, runs ``benchmarks/run.py`` in each checkout in 10 pairs
+on seed 1, the first side of each pair alternating; then 3 confirming pairs
+on the held-out seed 7919; then 5 pairs of traced runs on seed 1. Each
+checkout runs its own copy of the benchmark, so give both the same
+``benchmarks/`` tree. Reports both git SHAs, the machine notes, and, per
+workload and metric, each side's runs, median and quartiles and how many
+pairs the change won.
 
-    python scripts/bench_pairs.py --parent ../parent --change . --pairs 10 --out BENCH_2.json
+    python scripts/bench_pairs.py --parent ../parent --change . --out BENCH_2.json
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("mc_lowdeg", "mc_highdeg", "crosscheck")
+SEED = 1
+CONFIRM_SEED = 7919
+PAIRS = 10
+CONFIRM_PAIRS = 3
+TRACED_PAIRS = 5
 TRACED = ("intersect.count_self_s", "intersect.count_busy_s", "curves.eval_busy_s",
           "sampling.busy_s", "trace.overhead")
 
@@ -42,8 +48,6 @@ def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
 
@@ -84,43 +88,60 @@ def summarize(rows: list, better: dict, names=None) -> dict:
     return out
 
 
+def notes(machine: dict) -> list:
+    m = machine["change"]
+    return [
+        f"Parent {machine['parent']['git_sha'][:7]} against change {m['git_sha'][:7]}, each a "
+        "git checkout with the same benchmarks/ tree.",
+        "Made with one run of scripts/bench_pairs.py. Each run is 'python3 benchmarks/run.py "
+        "--workload <w> --seed <s> [--trace 1]' with its default duration; the first side of "
+        "each pair alternates.",
+        f"end_to_end: {PAIRS} alternating pairs on seed {SEED}. confirm: {CONFIRM_PAIRS} "
+        f"alternating pairs on held-out seed {CONFIRM_SEED}. traced: {TRACED_PAIRS} alternating "
+        f"pairs of traced runs on seed {SEED}; per_layer values are each run's fastest traced "
+        "pass.",
+        f"Machine: {m['nproc']} CPUs, {m['cpu_model']}; Python {m['python']}, numpy "
+        f"{m['numpy']}, scipy {m['scipy']}, {m['blas']} on {m['blas_threads']} thread(s).",
+        "Stats are the median and the inclusive quartiles; change_wins counts pairs where the "
+        "change was better in the metric's declared direction, ties counting for neither.",
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--confirm-seed", type=int, default=7919)
-    ap.add_argument("--confirm-pairs", type=int, default=3)
-    ap.add_argument("--traced-pairs", type=int, default=3)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-    doc = {"seed": args.seed, "confirm_seed": args.confirm_seed, "workloads": {}}
-    for workload in args.workloads.split(","):
-        rows = alternate(args.parent, args.change, workload, args.seed, args.pairs)
-        confirm = alternate(args.parent, args.change, workload, args.confirm_seed,
-                            args.confirm_pairs)
-        traced = alternate(args.parent, args.change, workload, args.seed, args.traced_pairs,
-                           trace=1)
-        entry = {"all_correct": all(r["correct"] for pair in rows + confirm + traced
-                                    for r in pair)}
-        if rows:
-            entry["end_to_end"] = summarize(rows, better)
-        if confirm:
-            entry["confirm"] = summarize(confirm, better)
-        if traced:
-            entry["traced"] = summarize(traced, better, TRACED)
-            entry["absent_spans"] = {side: traced[-1][i]["absent_spans"]
-                                     for i, side in enumerate(("parent", "change"))}
-            entry["traced_cells"] = {side: traced[-1][i]["cells"]
-                                     for i, side in enumerate(("parent", "change"))}
-        doc["workloads"][workload] = entry
-        last = (rows or confirm or traced)[-1]
-        doc["machine"] = {side: last[i]["machine"] for i, side in enumerate(("parent", "change"))}
+    workloads = {}
+    for workload in WORKLOADS:
+        rows = alternate(args.parent, args.change, workload, SEED, PAIRS)
+        confirm = alternate(args.parent, args.change, workload, CONFIRM_SEED, CONFIRM_PAIRS)
+        traced = alternate(args.parent, args.change, workload, SEED, TRACED_PAIRS, trace=1)
+        last = traced[-1]
+        machine = {side: last[i]["machine"] for i, side in enumerate(("parent", "change"))}
+        workloads[workload] = {
+            "all_correct": all(r["correct"] for pair in rows + confirm + traced for r in pair),
+            "end_to_end": summarize(rows, better),
+            "confirm": summarize(confirm, better),
+            "traced": summarize(traced, better, TRACED),
+            "absent_spans": {side: last[i]["absent_spans"]
+                             for i, side in enumerate(("parent", "change"))},
+            "traced_cells": {side: last[i]["cells"]
+                             for i, side in enumerate(("parent", "change"))},
+        }
+        doc = {
+            "notes": notes(machine),
+            "parent_sha": machine["parent"]["git_sha"],
+            "change_sha": machine["change"]["git_sha"],
+            "seed": SEED,
+            "confirm_seed": CONFIRM_SEED,
+            "machine": machine,
+            "workloads": workloads,
+        }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # kept if a later workload fails
     return 0
 
