@@ -46,18 +46,14 @@ from .intersect import (
     segment_proper_cross,
 )
 from .montecarlo import (
-    DistributionEstimate,
     ExperimentConfig,
     ExperimentResult,
     corollary2_check,
-    estimate_distribution,
     run_experiment,
 )
 from .sampling import (
     CurvePair,
-    FiberSample,
     SeedSpec,
-    sample_fiber_pair,
     sample_max_norm_weighted_pair,
     sample_pair,
     sample_unit_ball_curve,

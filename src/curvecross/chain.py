@@ -19,7 +19,7 @@ from scipy import integrate
 
 from .curves import point_radius_bound
 from .exact import ball_volume_even, lambda_sq, mean_intersections_exact, mu
-from .sampling import SeedSpec, _fiber_candidates, _fiber_velocity_dets
+from .sampling import SeedSpec, fiber_candidates, fiber_speed_dets
 
 _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
@@ -187,26 +187,20 @@ def fiber_mc_check(N: int, samples: int, seed: SeedSpec) -> FiberCheckResult:
         raise ValueError("rejection budget is sized for 1 <= N <= 3")
     if samples < 2:
         raise ValueError("need at least 2 attempts")
-    half = 4 * N + 2
     rng = seed.rng()
     batch = 1 << 13
-    remaining = samples
     n_acc = 0
     s1 = 0.0
     s2 = 0.0
-    while remaining > 0:
-        m = min(batch, remaining)
-        remaining -= m
-        z = _fiber_candidates(N, rng, m)
-        nf = np.einsum("ij,ij->i", z[:, :half], z[:, :half])
-        ng = np.einsum("ij,ij->i", z[:, half:], z[:, half:])
-        mask = (nf <= 1.0) & (ng <= 1.0)
-        if not mask.any():
-            continue
-        dets = _fiber_velocity_dets(N, z[mask])
-        n_acc += int(mask.sum())
+    for lo in range(0, samples, batch):
+        z, inside = fiber_candidates(N, rng, min(batch, samples - lo))
+        dets = fiber_speed_dets(N, z[inside])
+        n_acc += int(inside.sum())
         s1 += float(dets.sum())
         s2 += float(np.dot(dets, dets))
+    if n_acc < 2:
+        raise ValueError(f"slice Monte Carlo accepted {n_acc} of {samples} attempts; "
+                         "the estimate needs at least 2")
     p_hat = n_acc / samples
     if p_hat < 1e-4:
         raise RuntimeError(f"acceptance rate {p_hat:.2e} below budget threshold 1e-4")

@@ -94,19 +94,6 @@ class TrigCurve:
         return not (self.xa[1:].any() or self.xb.any() or self.ya[1:].any() or self.yb.any())
 
 
-def evaluate(c: TrigCurve, phi: float) -> PlanePoint:
-    """Point (x(phi), y(phi)); the angle is reduced mod 2*pi."""
-    t = float(phi) % TWO_PI
-    x = float(c.xa[0])
-    y = float(c.ya[0])
-    for j in range(1, c.degree + 1):
-        cj = math.cos(j * t)
-        sj = math.sin(j * t)
-        x += c.xa[j] * cj + c.xb[j - 1] * sj
-        y += c.ya[j] * cj + c.yb[j - 1] * sj
-    return PlanePoint(float(x), float(y))
-
-
 def evaluate_many(c: TrigCurve, phis) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evaluation at an array of angles; returns (xs, ys)."""
     t = np.asarray(phis, dtype=float) % TWO_PI
@@ -120,17 +107,24 @@ def evaluate_many(c: TrigCurve, phis) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def evaluate(c: TrigCurve, phi: float) -> PlanePoint:
+    """Point (x(phi), y(phi)); the angle is reduced mod 2*pi."""
+    xs, ys = evaluate_many(c, float(phi))
+    return PlanePoint(float(xs), float(ys))
+
+
 def derivative(c: TrigCurve, phi: float) -> PlanePoint:
-    """Velocity (dx/dphi, dy/dphi) at the given angle."""
-    t = float(phi) % TWO_PI
-    dx = 0.0
-    dy = 0.0
-    for j in range(1, c.degree + 1):
-        cj = math.cos(j * t)
-        sj = math.sin(j * t)
-        dx += j * (c.xb[j - 1] * cj - c.xa[j] * sj)
-        dy += j * (c.yb[j - 1] * cj - c.ya[j] * sj)
-    return PlanePoint(float(dx), float(dy))
+    """Velocity (dx/dphi, dy/dphi) at the given angle: the curve with cosine
+    coefficients j*b_j, sine coefficients -j*a_j and no constant terms."""
+    j = np.arange(1.0, c.degree + 1)
+    velocity = TrigCurve(
+        c.degree,
+        np.concatenate(([0.0], j * c.xb)),
+        -j * c.xa[1:],
+        np.concatenate(([0.0], j * c.yb)),
+        -j * c.ya[1:],
+    )
+    return evaluate(velocity, phi)
 
 
 def inner_product(c1: TrigCurve, c2: TrigCurve, r: int = 0) -> float:

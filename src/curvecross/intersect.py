@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TrigCurve, evaluate, evaluate_many, lipschitz_bound, point_radius_bound
+from .curves import TrigCurve, evaluate_many, lipschitz_bound, point_radius_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,15 +68,13 @@ class IntersectionResult:
     """Solution pairs (phi, psi) of f(phi) = g(psi) plus quality diagnostics.
 
     count == len(solutions); min_abs_det is the smallest |det(f', -g')| over
-    the refined roots (inf when there are none); oracle_stable is filled only
-    by cross-validation helpers.
+    the refined roots (inf when there are none).
     """
 
     count: int
     solutions: list[tuple[float, float]]
     min_abs_det: float
     degenerate: bool
-    oracle_stable: bool | None = None
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -248,9 +246,7 @@ def count_intersections(f: TrigCurve, g: TrigCurve,
     lg = lipschitz_bound(g)
     if lf == 0.0 and lg == 0.0:
         # two constant maps: distinct points never meet, coincident ones overlap
-        pf = evaluate(f, 0.0)
-        pg = evaluate(g, 0.0)
-        coincident = pf.x == pg.x and pf.y == pg.y
+        coincident = f.xa[0] == g.xa[0] and f.ya[0] == g.ya[0]
         return IntersectionResult(0, [], math.inf, coincident)
     if lf == 0.0 or lg == 0.0:
         # point versus curve: meets only on a measure-zero set; report no
@@ -284,49 +280,24 @@ def count_intersections(f: TrigCurve, g: TrigCurve,
 
 
 def _polyline_cross_count(f: TrigCurve, g: TrigCurve, m: int) -> int:
-    """Strict crossing count of the two closed m-vertex polylines (vectorized)."""
-    fxs, fys = evaluate_many(f, np.arange(m, dtype=float) * (TWO_PI / m))
-    gxs, gys = evaluate_many(g, np.arange(m, dtype=float) * (TWO_PI / m))
-    p1x = fxs
-    p1y = fys
-    p2x = np.roll(fxs, -1)
-    p2y = np.roll(fys, -1)
-    q1x = gxs
-    q1y = gys
-    q2x = np.roll(gxs, -1)
-    q2y = np.roll(gys, -1)
-    fminx = np.minimum(p1x, p2x)
-    fmaxx = np.maximum(p1x, p2x)
-    fminy = np.minimum(p1y, p2y)
-    fmaxy = np.maximum(p1y, p2y)
-    gminx = np.minimum(q1x, q2x)
-    gmaxx = np.maximum(q1x, q2x)
-    gminy = np.minimum(q1y, q2y)
-    gmaxy = np.maximum(q1y, q2y)
-
+    """Strict crossing count of the two closed m-vertex polylines, testing
+    every pair of overlapping segment boxes (no sweep), in row blocks."""
+    fx, fy = _closed_polyline(f, m)
+    gx, gy = _closed_polyline(g, m)
+    fx0, fx1 = np.minimum(fx[:-1], fx[1:]), np.maximum(fx[:-1], fx[1:])
+    fy0, fy1 = np.minimum(fy[:-1], fy[1:]), np.maximum(fy[:-1], fy[1:])
+    gx0, gx1 = np.minimum(gx[:-1], gx[1:]), np.maximum(gx[:-1], gx[1:])
+    gy0, gy1 = np.minimum(gy[:-1], gy[1:]), np.maximum(gy[:-1], gy[1:])
     total = 0
-    block = 2048
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        overlap = (
-            (fminx[lo:hi, None] <= gmaxx[None, :])
-            & (fmaxx[lo:hi, None] >= gminx[None, :])
-            & (fminy[lo:hi, None] <= gmaxy[None, :])
-            & (fmaxy[lo:hi, None] >= gminy[None, :])
-        )
-        ii, jj = np.nonzero(overlap)
-        if ii.size == 0:
-            continue
-        ii = ii + lo
-        rx = p2x[ii] - p1x[ii]
-        ry = p2y[ii] - p1y[ii]
-        d1 = rx * (q1y[jj] - p1y[ii]) - ry * (q1x[jj] - p1x[ii])
-        d2 = rx * (q2y[jj] - p1y[ii]) - ry * (q2x[jj] - p1x[ii])
-        sx = q2x[jj] - q1x[jj]
-        sy = q2y[jj] - q1y[jj]
-        d3 = sx * (p1y[ii] - q1y[jj]) - sy * (p1x[ii] - q1x[jj])
-        d4 = sx * (p2y[ii] - q1y[jj]) - sy * (p2x[ii] - q1x[jj])
-        total += int(np.count_nonzero((d1 * d2 < 0.0) & (d3 * d4 < 0.0)))
+    for lo in range(0, m, 2048):
+        hi = lo + 2048
+        overlap = ((fx0[lo:hi, None] <= gx1) & (fx1[lo:hi, None] >= gx0)
+                   & (fy0[lo:hi, None] <= gy1) & (fy1[lo:hi, None] >= gy0))
+        i, j = np.nonzero(overlap)
+        i = i + lo
+        proper = _cross_tests(
+            fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])[4]
+        total += int(np.count_nonzero(proper))
     return total
 
 

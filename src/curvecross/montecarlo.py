@@ -24,9 +24,7 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "DistributionEstimate",
     "run_experiment",
-    "estimate_distribution",
     "corollary2_check",
 ]
 
@@ -159,33 +157,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         counts=counts,
         degenerate_mask=degen,
     )
-
-
-def _wilson95(successes: int, n: int) -> tuple[float, float]:
-    z = _Z95
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-@dataclass
-class DistributionEstimate:
-    """Empirical count distribution with per-bin Wilson 95% intervals."""
-
-    result: ExperimentResult
-    proportions: dict[int, float]
-    wilson95: dict[int, tuple[float, float]]
-
-
-def estimate_distribution(cfg: ExperimentConfig) -> DistributionEstimate:
-    """Normalized histogram of counts over the non-degenerate samples."""
-    result = run_experiment(cfg)
-    n = result.samples_used
-    proportions = {i: c / n for i, c in result.histogram.items()}
-    wilson = {i: _wilson95(c, n) for i, c in result.histogram.items()}
-    return DistributionEstimate(result, proportions, wilson)
 
 
 def corollary2_check(N: int, k: float, samples: int, master_seed: int = 0,

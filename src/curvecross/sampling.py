@@ -23,11 +23,11 @@ _SQRT2 = math.sqrt(2.0)
 __all__ = [
     "SeedSpec",
     "CurvePair",
-    "FiberSample",
     "sample_unit_ball_curve",
     "sample_pair",
-    "sample_fiber_pair",
     "sample_max_norm_weighted_pair",
+    "fiber_candidates",
+    "fiber_speed_dets",
 ]
 
 
@@ -122,8 +122,8 @@ def sample_max_norm_weighted_pair(N: int, r: int, k: float, seed: SeedSpec) -> C
     Rejection from uniform pairs; attempt 0 replays sample_pair(seed) exactly,
     so k=0 reduces to the uniform sampler draw for draw.
     """
-    if k < 0:
-        raise ValueError("weight exponent must be >= 0")
+    if not (k >= 0 and math.isfinite(k)):
+        raise ValueError("weight exponent must be finite and >= 0")
     N = check_degree(N)
     r = check_order(r)
     attempt = 0
@@ -178,19 +178,30 @@ def _fiber_frame(N: int) -> np.ndarray:
     return np.column_stack(vecs[2:])
 
 
-def _fiber_candidates(N: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count uniform points in the radius-sqrt(2) ball of the slice, returned
-    as rows of isometric pair coordinates (f block then g block)."""
+def fiber_candidates(N: int, rng: np.random.Generator,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count uniform points in the radius-sqrt(2) ball of the slice, as rows z
+    of isometric pair coordinates (f block then g block), and the mask inside
+    of the rows whose f and g both lie in the unit ball (r=0). The accepted
+    rows z[inside] are uniform on the slice within the product of unit balls.
+    """
+    N = check_degree(N)
+    if N < 1:
+        raise ValueError("the slice construction needs N >= 1")
+    half = 4 * N + 2
     frame = _fiber_frame(N)
     d = frame.shape[1]
     w = rng.standard_normal((count, d))
     radii = _SQRT2 * rng.random(count) ** (1.0 / d)
     norms = np.linalg.norm(w, axis=1)
     norms[norms == 0.0] = 1.0
-    return (w * (radii / norms)[:, None]) @ frame.T
+    z = (w * (radii / norms)[:, None]) @ frame.T
+    nf = np.einsum("ij,ij->i", z[:, :half], z[:, :half])
+    ng = np.einsum("ij,ij->i", z[:, half:], z[:, half:])
+    return z, (nf <= 1.0) & (ng <= 1.0)
 
 
-def _fiber_velocity_dets(N: int, z: np.ndarray) -> np.ndarray:
+def fiber_speed_dets(N: int, z: np.ndarray) -> np.ndarray:
     """|det(f'(0), g'(0))| for rows of isometric pair coordinates (r=0)."""
     half = 4 * N + 2
     j = np.arange(1, N + 1, dtype=float)
@@ -201,35 +212,3 @@ def _fiber_velocity_dets(N: int, z: np.ndarray) -> np.ndarray:
     gx = z[:, half + xb] @ j
     gy = z[:, half + yb] @ j
     return np.abs(fx * gy - fy * gx)
-
-
-@dataclass(frozen=True)
-class FiberSample:
-    """One accepted pair on the slice, plus the rejection statistics that
-    produced it."""
-
-    pair: CurvePair
-    attempts: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return 1.0 / self.attempts
-
-
-def sample_fiber_pair(N: int, seed: SeedSpec) -> FiberSample:
-    """Uniform pair on the slice {f(0) = g(0)} intersected with the product of
-    unit balls (r=0), by rejection from the slice's radius-sqrt(2) ball."""
-    N = check_degree(N)
-    if N < 1:
-        raise ValueError("the slice construction needs N >= 1")
-    half = 4 * N + 2
-    rng = seed.rng()
-    attempts = 0
-    while True:
-        z = _fiber_candidates(N, rng, 1)[0]
-        attempts += 1
-        zf = z[:half]
-        zg = z[half:]
-        if np.dot(zf, zf) <= 1.0 and np.dot(zg, zg) <= 1.0:
-            pair = CurvePair(_iso_to_curve(N, 0, zf), _iso_to_curve(N, 0, zg))
-            return FiberSample(pair, attempts)

@@ -17,7 +17,7 @@ from curvecross.chain import (
 )
 from curvecross.curves import point_radius_bound
 from curvecross.exact import mean_intersections_exact
-from curvecross.sampling import SeedSpec, _fiber_candidates, _fiber_velocity_dets
+from curvecross.sampling import SeedSpec, fiber_candidates, fiber_speed_dets
 
 
 class TestKofA:
@@ -126,8 +126,14 @@ class TestAssembly:
 
 class TestFiberCheck:
     def test_integrand_nonnegative(self):
-        z = _fiber_candidates(2, SeedSpec(8).rng(), 500)
-        assert np.all(_fiber_velocity_dets(2, z) >= 0.0)
+        z, _ = fiber_candidates(2, SeedSpec(8).rng(), 500)
+        assert np.all(fiber_speed_dets(2, z) >= 0.0)
+
+    def test_too_few_accepted(self):
+        # 2 attempts can leave 0 or 1 accepted draws, too few for a variance
+        for seed, accepted in ((6, 0), (1, 1)):
+            with pytest.raises(ValueError, match=f"accepted {accepted} of 2"):
+                fiber_mc_check(1, 2, SeedSpec(seed))
 
     def test_small_run_consistent(self):
         res = fiber_mc_check(1, 100_000, SeedSpec(2718))

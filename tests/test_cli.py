@@ -166,6 +166,14 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--N", "3..1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("seed,accepted", [(1, 1), (6, 0)])
+    def test_too_few_slice_draws(self, capsys, seed, accepted):
+        code, _, err = run_cli(capsys, "verify", "--N", "1", "--fiber-attempts", "2",
+                               "--seed", str(seed))
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:")
+        assert f"accepted {accepted} of 2 attempts" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -81,7 +81,6 @@ class TestTwoCircleFixtures:
         res = count_intersections(unit_circle(), shifted_circle())
         assert res.count == 2
         assert not res.degenerate
-        assert res.oracle_stable is None
         # both crossings sit on the vertical chord x = 0.75
         for phi, psi in res.solutions:
             p = evaluate(unit_circle(), phi)
@@ -278,6 +277,19 @@ class TestRandomPairs:
             checked += 1
             assert res.count == rot.count
         assert checked >= 95
+
+    @pytest.mark.xfail(strict=True, reason="the polyline chord target is absolute, so a "
+                       "pair scaled by 1e-3 is counted on the 64-vertex floor polylines")
+    @pytest.mark.parametrize("index,unscaled", [(10, 6), (103, 10)])
+    def test_scaling_keeps_count_or_flags(self, index, unscaled):
+        def scaled(c, s):
+            return TrigCurve(c.degree, s * c.xa, s * c.xb, s * c.ya, s * c.yb)
+
+        pair = sample_pair(2, 0, SeedSpec(5, index))
+        res = count_intersections(pair.f, pair.g)
+        assert (res.count, res.degenerate) == (unscaled, False)
+        small = count_intersections(scaled(pair.f, 1e-3), scaled(pair.g, 1e-3))
+        assert small.count == unscaled or small.degenerate
 
 
 class TestCountingConfig:

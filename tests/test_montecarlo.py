@@ -8,7 +8,6 @@ from curvecross.intersect import CountingConfig
 from curvecross.montecarlo import (
     ExperimentConfig,
     corollary2_check,
-    estimate_distribution,
     parse_distribution,
     run_experiment,
 )
@@ -115,23 +114,6 @@ class TestRunExperiment:
             ExperimentConfig(N=1, worker_count=0)
         with pytest.raises(ValueError):
             ExperimentConfig(N=1, distribution="bogus")
-
-
-class TestEstimateDistribution:
-    def test_normalization_and_bands(self):
-        cfg = ExperimentConfig(N=1, num_samples=3000, master_seed=29)
-        est = estimate_distribution(cfg)
-        assert sum(est.proportions.values()) == pytest.approx(1.0, abs=1e-12)
-        for i, p in est.proportions.items():
-            assert i % 2 == 0
-            lo, hi = est.wilson95[i]
-            assert 0.0 <= lo <= p <= hi <= 1.0
-
-    def test_mean_consistency(self):
-        cfg = ExperimentConfig(N=1, num_samples=3000, master_seed=29)
-        est = estimate_distribution(cfg)
-        mean_from_hist = sum(i * p for i, p in est.proportions.items())
-        assert mean_from_hist == pytest.approx(est.result.mean, rel=1e-12)
 
 
 class TestCorollary2:

@@ -8,7 +8,8 @@ from curvecross.curves import evaluate, norm
 from curvecross.sampling import (
     CurvePair,
     SeedSpec,
-    sample_fiber_pair,
+    _iso_to_curve,
+    fiber_candidates,
     sample_max_norm_weighted_pair,
     sample_pair,
     sample_unit_ball_curve,
@@ -119,6 +120,12 @@ class TestMaxNormWeightedPair:
         with pytest.raises(ValueError):
             sample_max_norm_weighted_pair(1, 0, -1.0, SeedSpec(0))
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, k):
+        # NaN used to pass the sign check and make every draw a rejection
+        with pytest.raises(ValueError, match="finite"):
+            sample_max_norm_weighted_pair(1, 0, k, SeedSpec(0))
+
     def test_weighting_shifts_max_norm_up(self):
         n_draws = 10_000
         uniform = np.empty(n_draws)
@@ -133,35 +140,40 @@ class TestMaxNormWeightedPair:
 
 
 class TestFiberPair:
+    """Pairs on the slice {f(0) = g(0)} inside both unit balls, as accepted
+    rows of fiber_candidates."""
+
     def test_constraint_and_membership(self):
-        for i in range(100):
-            fs = sample_fiber_pair(2, SeedSpec(55, i))
-            pf = evaluate(fs.pair.f, 0.0)
-            pg = evaluate(fs.pair.g, 0.0)
+        N = 2
+        half = 4 * N + 2
+        z, inside = fiber_candidates(N, SeedSpec(55).rng(), 2000)
+        assert inside.sum() >= 100
+        for row in z[inside]:
+            f = _iso_to_curve(N, 0, row[:half])
+            g = _iso_to_curve(N, 0, row[half:])
+            pf = evaluate(f, 0.0)
+            pg = evaluate(g, 0.0)
             assert math.hypot(pf.x - pg.x, pf.y - pg.y) <= 1e-12
-            assert norm(fs.pair.f, 0) <= 1.0 + 1e-12
-            assert norm(fs.pair.g, 0) <= 1.0 + 1e-12
+            assert norm(f, 0) <= 1.0 + 1e-12
+            assert norm(g, 0) <= 1.0 + 1e-12
+        for row in z[~inside]:
+            assert max(norm(_iso_to_curve(N, 0, row[:half]), 0),
+                       norm(_iso_to_curve(N, 0, row[half:]), 0)) > 1.0 - 1e-12
 
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValueError):
-            sample_fiber_pair(0, SeedSpec(0))
+            fiber_candidates(0, SeedSpec(0).rng(), 10)
 
     def test_deterministic(self):
-        a = sample_fiber_pair(1, SeedSpec(4, 9))
-        b = sample_fiber_pair(1, SeedSpec(4, 9))
-        assert a.pair.f == b.pair.f and a.pair.g == b.pair.g
-        assert a.attempts == b.attempts
+        za, ia = fiber_candidates(1, SeedSpec(4, 9).rng(), 100)
+        zb, ib = fiber_candidates(1, SeedSpec(4, 9).rng(), 100)
+        assert np.array_equal(za, zb) and np.array_equal(ia, ib)
+        zc, _ = fiber_candidates(1, SeedSpec(4, 10).rng(), 100)
+        assert not np.array_equal(za, zc)
 
     def test_acceptance_rate_interior(self):
-        attempts = 0
-        accepted = 0
-        i = 0
-        while attempts < 10_000:
-            fs = sample_fiber_pair(1, SeedSpec(66, i))
-            attempts += fs.attempts
-            accepted += 1
-            i += 1
-        rate = accepted / attempts
+        _, inside = fiber_candidates(1, SeedSpec(66).rng(), 10_000)
+        rate = inside.mean()
         assert 0.0 < rate < 1.0
         # sanity: nowhere near the rejection-budget floor
         assert rate > 0.01
