@@ -27,7 +27,7 @@ PAIRS = 10
 CONFIRM_PAIRS = 3
 TRACED_PAIRS = 5
 TRACED = ("intersect.count_self_s", "intersect.count_busy_s", "curves.eval_busy_s",
-          "sampling.busy_s", "trace.overhead")
+          "sampling.busy_s", "montecarlo.self_s", "trace.overhead")
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:

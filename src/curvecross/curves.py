@@ -26,6 +26,7 @@ __all__ = [
     "SchemaError",
     "evaluate",
     "evaluate_many",
+    "evaluate_rows",
     "derivative",
     "inner_product",
     "norm",
@@ -47,15 +48,7 @@ class SchemaError(ValueError):
     """A curve JSON document does not match the expected schema."""
 
 
-def _as_coeffs(values, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (length,):
-        raise ValueError(f"{name} must have exactly {length} entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+_FIELDS = ("xa", "xb", "ya", "yb")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,17 +65,28 @@ class TrigCurve:
     def __post_init__(self):
         n = check_degree(self.degree)
         object.__setattr__(self, "degree", n)
-        object.__setattr__(self, "xa", _as_coeffs(self.xa, n + 1, "xa"))
-        object.__setattr__(self, "xb", _as_coeffs(self.xb, n, "xb"))
-        object.__setattr__(self, "ya", _as_coeffs(self.ya, n + 1, "ya"))
-        object.__setattr__(self, "yb", _as_coeffs(self.yb, n, "yb"))
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in _FIELDS]
+        for name, arr, length in zip(_FIELDS, arrays, (n + 1, n, n + 1, n)):
+            if arr.shape != (length,):
+                raise ValueError(
+                    f"{name} must have exactly {length} entries, got shape {arr.shape}")
+        # one private read-only copy; the four fields are views into it
+        flat = np.concatenate(arrays)
+        if not np.isfinite(flat).all():
+            bad = next(name for name, arr in zip(_FIELDS, arrays) if not np.isfinite(arr).all())
+            raise ValueError(f"{bad} contains non-finite entries")
+        flat.setflags(write=False)
+        object.__setattr__(self, "xa", flat[:n + 1])
+        object.__setattr__(self, "xb", flat[n + 1:2 * n + 1])
+        object.__setattr__(self, "ya", flat[2 * n + 1:3 * n + 2])
+        object.__setattr__(self, "yb", flat[3 * n + 2:])
 
     def __eq__(self, other):
         if not isinstance(other, TrigCurve):
             return NotImplemented
         return self.degree == other.degree and all(
             np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("xa", "xb", "ya", "yb")
+            for f in _FIELDS
         )
 
     @classmethod
@@ -94,17 +98,34 @@ class TrigCurve:
         return not (self.xa[1:].any() or self.xb.any() or self.ya[1:].any() or self.yb.any())
 
 
-def evaluate_many(c: TrigCurve, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized evaluation at an array of angles; returns (xs, ys)."""
+def evaluate_rows(xa, xb, ya, yb, phis, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized evaluation of stacked curves; returns (xs, ys) shaped like phis.
+
+    Row k of the cosine coefficient arrays xa, ya (shape (K, N+1), constant
+    term first) and of the sine arrays xb, yb (shape (K, N)) is one curve.
+    The angles, in flat order, run through the rows: the first counts[0] are
+    evaluated on row 0, the next counts[1] on row 1, and so on. Every value
+    is computed by the same operations whatever the other rows hold.
+    """
     t = np.asarray(phis, dtype=float) % TWO_PI
-    xs = np.full_like(t, c.xa[0])
-    ys = np.full_like(t, c.ya[0])
-    for j in range(1, c.degree + 1):
+
+    def per_angle(c, j):
+        # coefficient j of each angle's curve
+        return np.repeat(c[:, j], counts).reshape(t.shape)
+
+    xs = per_angle(xa, 0)
+    ys = per_angle(ya, 0)
+    for j in range(1, xa.shape[1]):
         cj = np.cos(j * t)
         sj = np.sin(j * t)
-        xs += c.xa[j] * cj + c.xb[j - 1] * sj
-        ys += c.ya[j] * cj + c.yb[j - 1] * sj
+        xs += per_angle(xa, j) * cj + per_angle(xb, j - 1) * sj
+        ys += per_angle(ya, j) * cj + per_angle(yb, j - 1) * sj
     return xs, ys
+
+
+def evaluate_many(c: TrigCurve, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized evaluation at an array of angles; returns (xs, ys)."""
+    return evaluate_rows(c.xa[None], c.xb[None], c.ya[None], c.yb[None], phis, np.size(phis))
 
 
 def evaluate(c: TrigCurve, phi: float) -> PlanePoint:

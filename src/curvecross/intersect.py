@@ -1,12 +1,22 @@
 """Counting the crossings of two closed trigonometric plane curves.
 
-Pipeline, as numpy array passes over one pair: adaptive closed polylines ->
-candidate segment pairs from a sort and sweep over the segment boxes ->
-strict segment-crossing tests -> one batched 2-D Newton refinement of every
-seed on the parameter torus -> dedup over the pairwise torus gaps. Anything
-that looks non-transversal (refinement failure, near-singular Jacobian, odd
+Pipeline, as numpy array passes over a block of equal-degree pairs: adaptive
+closed polylines of every curve from one evaluation -> candidate segment
+pairs from one sort and sweep over the segment boxes of all pairs, each
+pair's boxes shifted into an x band of its own -> strict segment-crossing
+tests -> one batched 2-D Newton refinement of every seed on the parameter
+torus -> dedup over the pairwise torus gaps within each pair. Anything that
+looks non-transversal (refinement failure, near-singular Jacobian, odd
 total, overlapping polyline geometry) raises the ``degenerate`` flag instead
 of guessing.
+
+Every stage treats each pair apart from the others: candidates are tested
+on the unshifted boxes together with a same-pair test, each seed's Newton
+sums run in an order fixed by the degree, and dedup compares roots of one
+pair only. A pair's result is therefore bit-identical whether it is counted
+alone (``count_intersections``) or in any block
+(``count_intersections_many``). A block holds at most ``_BLOCK_VERTICES``
+polyline vertices, which bounds its arrays.
 """
 
 from __future__ import annotations
@@ -16,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TrigCurve, evaluate_many, lipschitz_bound, point_radius_bound
+from .curves import TrigCurve, evaluate_rows, lipschitz_bound, point_radius_bound
 
 TWO_PI = 2.0 * math.pi
 
 _MIN_VERTICES = 64
 _SEG_TARGET_FACTOR = 0.02
+# polyline vertices per block of pairs counted together: bounds the block's
+# arrays whatever the number of pairs in one call
+_BLOCK_VERTICES = 1 << 13
 
 __all__ = [
     "CountingConfig",
@@ -29,6 +42,7 @@ __all__ = [
     "segment_proper_cross",
     "newton_refine",
     "count_intersections",
+    "count_intersections_many",
     "brute_force_count",
 ]
 
@@ -110,180 +124,303 @@ def segment_proper_cross(p1, p2, q1, q2) -> bool:
     return bool(_cross_tests(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y)[4])
 
 
-def _pair_matrix(f: TrigCurve, g: TrigCurve):
-    """Frequencies of f and g, and the rows and offset of the linear map from
-    the feature row [cos j*phi, cos k*psi, sin j*phi, sin k*psi]
-    (j = 1..deg f, k = 1..deg g) to (rx, ry, f'x, f'y, g'x, g'y), where
-    (rx, ry) = f(phi) - g(psi)."""
-    jf = np.arange(1.0, f.degree + 1)
-    jg = np.arange(1.0, g.degree + 1)
-    zf = np.zeros(f.degree)
-    zg = np.zeros(g.degree)
-    rows = np.array([
-        np.concatenate((f.xa[1:], -g.xa[1:], f.xb, -g.xb)),
-        np.concatenate((f.ya[1:], -g.ya[1:], f.yb, -g.yb)),
-        np.concatenate((jf * f.xb, zg, -jf * f.xa[1:], zg)),
-        np.concatenate((jf * f.yb, zg, -jf * f.ya[1:], zg)),
-        np.concatenate((zf, jg * g.xb, zf, -jg * g.xa[1:])),
-        np.concatenate((zf, jg * g.yb, zf, -jg * g.ya[1:])),
-    ]).T
-    offset = np.array([f.xa[0] - g.xa[0], f.ya[0] - g.ya[0], 0.0, 0.0, 0.0, 0.0])
-    return jf, jg, rows, offset
+def _stack(curves) -> tuple[np.ndarray, ...]:
+    """Coefficient arrays (xa, xb, ya, yb) of equal-degree curves, one row each."""
+    return tuple(np.array([getattr(c, name) for c in curves]) for name in ("xa", "xb", "ya", "yb"))
 
 
-def _newton_batch(f: TrigCurve, g: TrigCurve, phi, psi, res_tol: float, cfg: CountingConfig):
-    """Newton on F(phi, psi) = f(phi) - g(psi) from every seed at once.
+def _pair_matrix(f, g):
+    """Rows and offset of the linear map from the feature row
+    [cos j*phi, cos j*psi, sin j*phi, sin j*psi] (j = 1..N) to
+    (rx, ry, f'x, f'y, g'x, g'y), where (rx, ry) = f(phi) - g(psi), for each
+    pair p of the stacked coefficient arrays f and g (see _stack): rows[p]
+    has shape (4N, 6) and offset[p] shape (6,)."""
+    fxa, fxb, fya, fyb = f
+    gxa, gxb, gya, gyb = g
+    j = np.arange(1.0, fxb.shape[1] + 1)
+    z = np.zeros_like(fxb)
+    rows = np.stack([
+        np.concatenate((fxa[:, 1:], -gxa[:, 1:], fxb, -gxb), axis=1),
+        np.concatenate((fya[:, 1:], -gya[:, 1:], fyb, -gyb), axis=1),
+        np.concatenate((j * fxb, z, -j * fxa[:, 1:], z), axis=1),
+        np.concatenate((j * fyb, z, -j * fya[:, 1:], z), axis=1),
+        np.concatenate((z, j * gxb, z, -j * gxa[:, 1:]), axis=1),
+        np.concatenate((z, j * gyb, z, -j * gya[:, 1:]), axis=1),
+    ], axis=2)
+    offset = np.zeros((fxa.shape[0], 6))
+    offset[:, 0] = fxa[:, 0] - gxa[:, 0]
+    offset[:, 1] = fya[:, 0] - gya[:, 0]
+    return rows, offset
+
+
+def _fold_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 by folding halves together, an order fixed by that
+    axis' length alone, where a matrix product's order may follow the batch
+    shape."""
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        folded = terms[:, :half] + terms[:, half:2 * half]
+        terms = np.concatenate((folded, terms[:, 2 * half:]), axis=1) if terms.shape[1] % 2 else folded
+    return terms.sum(axis=1)  # one term, or none at degree 0: exact
+
+
+def _newton_batch(rows, offset, phi, psi, res_tol: float, cfg: CountingConfig):
+    """Newton on F(phi, psi) = f(phi) - g(psi) from every seed at once; seed
+    k uses the map rows[k], offset[k] of its pair (see _pair_matrix).
 
     Each pass tests the Jacobian first, then the residual, then steps; a seed
-    that turned near-singular or converged is frozen, and so stays so on the
-    next pass. Returns (phi, psi, det, ok): the seeds wrapped to the torus,
-    det(f', -g') at each, and ok where the seed converged.
+    that turned near-singular or converged is frozen and leaves the batch, so
+    a seed's path does not depend on the other seeds. Returns
+    (phi, psi, det, ok): the seeds wrapped to the torus, det(f', -g') at
+    each, and ok where the seed converged.
     """
-    jf, jg, rows, offset = _pair_matrix(f, g)
+    j = np.arange(1.0, rows.shape[1] // 4 + 1)
     phi = np.array(phi, dtype=float)
     psi = np.array(psi, dtype=float)
+    det = np.zeros(phi.size)
+    ok = np.zeros(phi.size, dtype=bool)
+    live = np.arange(phi.size)
     for _ in range(cfg.max_newton_iters + 1):
-        angles = np.concatenate((np.multiply.outer(phi, jf), np.multiply.outer(psi, jg)), axis=1)
-        values = np.concatenate((np.cos(angles), np.sin(angles)), axis=1) @ rows + offset
+        p, q = phi[live], psi[live]
+        angles = np.concatenate((np.multiply.outer(p, j), np.multiply.outer(q, j)), axis=1)
+        features = np.concatenate((np.cos(angles), np.sin(angles)), axis=1)
+        values = _fold_sum(features[:, :, None] * rows[live]) + offset[live]
         rx, ry, dfx, dfy, dgx, dgy = values.T
-        det = dgx * dfy - dfx * dgy
-        singular = np.abs(det) < cfg.degeneracy_threshold
-        ok = ~singular & (np.hypot(rx, ry) <= res_tol)
-        step = ~(singular | ok)
-        if not step.any():
+        d = dgx * dfy - dfx * dgy
+        singular = np.abs(d) < cfg.degeneracy_threshold
+        done = ~singular & (np.hypot(rx, ry) <= res_tol)
+        det[live] = d
+        ok[live] = done
+        step = ~(singular | done)
+        live = live[step]
+        if not live.size:
             break
-        safe = np.where(step, det, 1.0)  # no division by a singular det
-        phi = np.where(step, phi + (rx * dgy - ry * dgx) / safe, phi)
-        psi = np.where(step, psi + (rx * dfy - ry * dfx) / safe, psi)
+        rx, ry, dfx, dfy, dgx, dgy, d = (v[step] for v in (rx, ry, dfx, dfy, dgx, dgy, d))
+        phi[live] = p[step] + (rx * dgy - ry * dgx) / d
+        psi[live] = q[step] + (rx * dfy - ry * dfx) / d
     return np.mod(phi, TWO_PI), np.mod(psi, TWO_PI), det, ok
+
+
+def _res_tol(degree: int, cfg: CountingConfig) -> float:
+    return 10.0 * cfg.newton_tol * point_radius_bound(degree, 0)
 
 
 def newton_refine(f: TrigCurve, g: TrigCurve, phi0: float, psi0: float,
                   cfg: CountingConfig | None = None):
     """Refine a crossing seed; returns (phi, psi, det_J) wrapped to the torus,
     or None when iterations run out or the Jacobian turns near-singular."""
+    if f.degree != g.degree:
+        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     cfg = cfg or CountingConfig()
-    res_tol = 10.0 * cfg.newton_tol * point_radius_bound(max(f.degree, g.degree), 0)
-    phi, psi, det, ok = _newton_batch(f, g, [float(phi0)], [float(psi0)], res_tol, cfg)
+    rows, offset = _pair_matrix(_stack([f]), _stack([g]))
+    phi, psi, det, ok = _newton_batch(rows, offset, [float(phi0)], [float(psi0)],
+                                      _res_tol(f.degree, cfg), cfg)
     return (float(phi[0]), float(psi[0]), float(det[0])) if ok[0] else None
 
 
-def _closed_polyline(c: TrigCurve, m: int):
-    phis = np.arange(m + 1, dtype=float) * (TWO_PI / m)
-    phis[m] = 0.0  # exact closure
-    return evaluate_many(c, phis)
+def _closed_polylines(stack, m: np.ndarray):
+    """Closed polylines of stacked curves (see _stack), concatenated: curve k
+    gets m[k] + 1 vertices at the angles 2*pi*i/m[k], the last an exact copy
+    of the first."""
+    ends = np.cumsum(m + 1)
+    i = np.arange(ends[-1]) - np.repeat(ends - (m + 1), m + 1)
+    phis = i * np.repeat(TWO_PI / m, m + 1)
+    phis[ends - 1] = 0.0  # exact closure
+    return evaluate_rows(*stack, phis, m + 1)
 
 
-def _live_segments(xs: np.ndarray, ys: np.ndarray):
-    """Indices and bounding boxes (x0, x1, y0, y1) of the non-zero-length
-    segments of a polyline."""
+def _live_segments(xs: np.ndarray, ys: np.ndarray, m: np.ndarray):
+    """Polyline, start vertex and bounding box (x0, x1, y0, y1) of each
+    non-zero-length segment of closed polylines concatenated as
+    _closed_polylines makes them."""
+    ends = np.cumsum(m + 1)
     x1, x2, y1, y2 = xs[:-1], xs[1:], ys[:-1], ys[1:]
-    idx = np.flatnonzero((x1 != x2) | (y1 != y2))
+    live = (x1 != x2) | (y1 != y2)
+    live[ends[:-1] - 1] = False  # a polyline's last vertex starts no segment
+    idx = np.flatnonzero(live)
+    line = np.repeat(np.arange(m.size), m + 1)[idx]
     x1, x2, y1, y2 = x1[idx], x2[idx], y1[idx], y2[idx]
-    return idx, np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
+    return line, idx, np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
 
 
-def _polyline_crossings(fx, fy, gx, gy):
-    """Proper crossings of two polylines, from a sort and sweep over their
-    segment boxes.
+def _polyline_crossings(fx, fy, mf, gx, gy, mg):
+    """Proper crossings of the f and g polylines of each pair of a block, from
+    one sort and sweep over all their segment boxes.
 
-    Returns (i, j, t, s, touch): the f and g segment of each crossing, the
-    fractions t and s of the way along them, and whether any pair of
-    overlapping boxes held a touch or a collinear overlap.
+    fx, fy hold the pairs' closed f polylines concatenated, pair p's with
+    mf[p] + 1 vertices; gx, gy the g polylines likewise. Returns
+    (p, i, j, t, s, touch): the pair, f segment and g segment of each
+    crossing in (pair, g segment, f segment) order, the fractions t and s of
+    the way along the two segments, and a mask of the pairs in which some
+    pair of overlapping boxes held a touch or a collinear overlap.
     """
-    fi, fx0, fx1, fy0, fy1 = _live_segments(fx, fy)
-    gj, gx0, gx1, gy0, gy1 = _live_segments(gx, gy)
-    order = np.argsort(fx0, kind="stable")
-    fi, fx0, fx1, fy0, fy1 = fi[order], fx0[order], fx1[order], fy0[order], fy1[order]
-    # with f's boxes in x-min order, the boxes that can meet g box b run from
-    # the first whose running x-max reaches b's x-min to the last whose x-min
-    # is at most b's x-max
-    lo = np.searchsorted(np.maximum.accumulate(fx1), gx0, "left")
-    width = np.maximum(np.searchsorted(fx0, gx1, "right") - lo, 0)
-    a = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
-    hit = ((fx1[a] >= np.repeat(gx0, width)) & (fy0[a] <= np.repeat(gy1, width))
-           & (fy1[a] >= np.repeat(gy0, width)))
-    # seeds in g-segment order, then f-segment order, whatever the sweep order
+    fp, fi, fx0, fx1, fy0, fy1 = _live_segments(fx, fy, mf)
+    gp, gj, gx0, gx1, gy0, gy1 = _live_segments(gx, gy, mg)
+    # each pair's boxes are moved along x into a band of their own, so one
+    # sweep serves all pairs; rounding in the move can only widen a window,
+    # and the exact test below on the unmoved boxes drops what it adds
+    fstart = np.cumsum(mf + 1) - (mf + 1)
+    gstart = np.cumsum(mg + 1) - (mg + 1)
+    lo = np.minimum(np.minimum.reduceat(fx, fstart), np.minimum.reduceat(gx, gstart))
+    hi = np.maximum(np.maximum.reduceat(fx, fstart), np.maximum.reduceat(gx, gstart))
+    band = np.cumsum(hi - lo + 1.0)
+    shift = band - (hi - lo + 1.0) - lo
+    fk0 = fx0 + shift[fp]
+    order = np.argsort(fk0, kind="stable")
+    fp, fi, fx0, fx1, fy0, fy1 = fp[order], fi[order], fx0[order], fx1[order], fy0[order], fy1[order]
+    fk0 = fk0[order]
+    gshift = shift[gp]
+    # with f's boxes in shifted x-min order, the boxes that can meet g box b
+    # run from the first whose running x-max reaches b's x-min to the last
+    # whose x-min is at most b's x-max
+    start = np.searchsorted(np.maximum.accumulate(fx1 + shift[fp]), gx0 + gshift, "left")
+    width = np.maximum(np.searchsorted(fk0, gx1 + gshift, "right") - start, 0)
+    ends = np.cumsum(width)
+    a = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - (ends - width), width)
+    # the y test first, as it drops most of the window; then the exact x test
+    # and the pair test on what is left
+    k = np.flatnonzero((fy0[a] <= np.repeat(gy1, width)) & (fy1[a] >= np.repeat(gy0, width)))
+    a = a[k]
+    b = np.searchsorted(ends, k, "right")
+    hit = (fp[a] == gp[b]) & (fx1[a] >= gx0[b]) & (fx0[a] <= gx1[b])
+    # seeds in pair, g-segment, then f-segment order, whatever the sweep order
     i = fi[a[hit]]
-    j = np.repeat(gj, width)[hit]
+    j = gj[b[hit]]
     order = np.lexsort((i, j))
-    i, j = i[order], j[order]
+    i, j, p = i[order], j[order], gp[b[hit]][order]
     d1, d2, d3, d4, proper = _cross_tests(
         fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])
-    touch = bool(np.any(~proper & ((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0))))
-    d1, d2, d3, d4 = d1[proper], d2[proper], d3[proper], d4[proper]
-    return i[proper], j[proper], d3 / (d3 - d4), d1 / (d1 - d2), touch
+    touch = np.zeros(mg.size, dtype=bool)
+    touch[p[~proper & ((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0))]] = True
+    d1, d2, d3, d4, p = d1[proper], d2[proper], d3[proper], d4[proper], p[proper]
+    return (p, i[proper] - fstart[p], j[proper] - gstart[p],
+            d3 / (d3 - d4), d1 / (d1 - d2), touch)
 
 
-def _first_of_clusters(phi: np.ndarray, psi: np.ndarray, radius: float) -> np.ndarray:
+def _first_of_clusters(phi: np.ndarray, psi: np.ndarray, group: np.ndarray,
+                       radius: float) -> np.ndarray:
     """Mask of the roots kept when each root, in order, is dropped if a root
-    already kept lies within radius in both torus coordinates; the angles are
-    wrapped to [0, 2*pi]. Rows are taken 256 at a time to bound the gap
-    matrices, and only rows with an earlier close root are decided one by one."""
+    of its group already kept lies within radius in both torus coordinates;
+    the angles are wrapped to [0, 2*pi] and group is non-decreasing. Rows are
+    taken 256 at a time, against the earlier roots of their groups, to bound
+    the gap matrices, and only rows with an earlier close root are decided
+    one by one."""
     keep = np.ones(phi.size, dtype=bool)
+    first = np.searchsorted(group, group, "left")
     for lo in range(0, phi.size, 256):
         hi = min(lo + 256, phi.size)
-        near = np.ones((hi - lo, hi), dtype=bool)
+        c0 = first[lo]
+        near = group[lo:hi, None] == group[c0:hi]
         for x in (phi, psi):
-            d = np.abs(x[lo:hi, None] - x[:hi])
+            d = np.abs(x[lo:hi, None] - x[c0:hi])
             near &= np.minimum(d, TWO_PI - d) <= radius
-        near = np.tril(near, lo - 1)
+        near = np.tril(near, lo - c0 - 1)
         for k in np.flatnonzero(near.any(axis=1)):
             # near[k] marks earlier roots only, whose keep is already final
-            keep[lo + k] = not (keep[:hi] & near[k]).any()
+            keep[lo + k] = not (keep[c0:hi] & near[k]).any()
     return keep
+
+
+def _count_block(fs, gs, mf, mg, cfg: CountingConfig) -> list[IntersectionResult]:
+    """Results for the pairs (fs[p], gs[p]) of one block, none of them with a
+    constant curve, counted on polylines of mf[p] and mg[p] segments."""
+    mf = np.array(mf)
+    mg = np.array(mg)
+    n = len(fs)
+    f = _stack(fs)
+    g = _stack(gs)
+    xs, ys = _closed_polylines(tuple(np.concatenate(pair) for pair in zip(f, g)),
+                               np.concatenate((mf, mg)))
+    nf = int(np.sum(mf + 1))
+    p, i, j, t, s, touch = _polyline_crossings(xs[:nf], ys[:nf], mf, xs[nf:], ys[nf:], mg)
+
+    rows, offset = _pair_matrix(f, g)
+    phi, psi, det, ok = _newton_batch(rows[p], offset[p], (i + t) * (TWO_PI / mf)[p],
+                                      (j + s) * (TWO_PI / mg)[p], _res_tol(fs[0].degree, cfg), cfg)
+    failed = np.bincount(p[~ok], minlength=n) > 0
+    p, phi, psi, det = p[ok], phi[ok], psi[ok], det[ok]
+    keep = _first_of_clusters(phi, psi, p, cfg.dedupe_radius)
+    p, phi, psi, det = p[keep], phi[keep], psi[keep], det[keep]
+    order = np.lexsort((psi, phi, p))
+    solutions = list(zip(phi[order].tolist(), psi[order].tolist()))
+    count = np.bincount(p, minlength=n)
+    min_abs_det = np.full(n, math.inf)
+    np.minimum.at(min_abs_det, p, np.abs(det))
+    degenerate = touch | failed | (count % 2 == 1) | (min_abs_det < cfg.degeneracy_threshold)
+    ends = np.cumsum(count).tolist()
+    return [IntersectionResult(c, solutions[e - c:e], d, bad)
+            for c, e, d, bad in zip(count.tolist(), ends, min_abs_det.tolist(), degenerate.tolist())]
+
+
+def count_intersections_many(pairs, cfg: CountingConfig | None = None) -> list[IntersectionResult]:
+    """Count the solutions of f(phi) = g(psi) on the parameter torus for each
+    pair (f, g); all pairs must share one degree.
+
+    Pairs are counted in blocks of at most _BLOCK_VERTICES polyline vertices
+    (a larger pair makes a block alone), each stage running once per block,
+    and each pair's result is bit-identical to counting it alone.
+    """
+    cfg = cfg or CountingConfig()
+    pairs = list(pairs)
+    for f, g in pairs:
+        if f.degree != g.degree:
+            raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
+    degrees = sorted({f.degree for f, _ in pairs})
+    if len(degrees) > 1:
+        raise ValueError(f"pairs of different degrees in one call: {degrees}")
+    results: list = [None] * len(pairs)
+    if not pairs:
+        return results
+    seg_target = cfg.resolved_seg_target(degrees[0])
+    live = []
+    for k, (f, g) in enumerate(pairs):
+        lf = lipschitz_bound(f)
+        lg = lipschitz_bound(g)
+        if lf == 0.0 and lg == 0.0:
+            # two constant maps: distinct points never meet, coincident ones overlap
+            coincident = f.xa[0] == g.xa[0] and f.ya[0] == g.ya[0]
+            results[k] = IntersectionResult(0, [], math.inf, bool(coincident))
+        elif lf == 0.0 or lg == 0.0:
+            # point versus curve: meets only on a measure-zero set; report no
+            # crossings (a transversal crossing needs two moving branches)
+            results[k] = IntersectionResult(0, [], math.inf, False)
+        else:
+            live.append((k, f, g, max(_MIN_VERTICES, math.ceil(TWO_PI * lf / seg_target)),
+                         max(_MIN_VERTICES, math.ceil(TWO_PI * lg / seg_target))))
+    for block in _blocks(live):
+        ks, fs, gs, mf, mg = zip(*block)
+        for k, res in zip(ks, _count_block(fs, gs, mf, mg, cfg)):
+            results[k] = res
+    return results
+
+
+def _blocks(live):
+    """Runs of consecutive (k, f, g, mf, mg) entries with at most
+    _BLOCK_VERTICES polyline vertices each; a larger pair makes a run alone."""
+    block: list = []
+    vertices = 0
+    for entry in live:
+        size = entry[3] + entry[4] + 2
+        if block and vertices + size > _BLOCK_VERTICES:
+            yield block
+            block, vertices = [], 0
+        block.append(entry)
+        vertices += size
+    if block:
+        yield block
 
 
 def count_intersections(f: TrigCurve, g: TrigCurve,
                         cfg: CountingConfig | None = None) -> IntersectionResult:
     """Count the solutions of f(phi) = g(psi) on the parameter torus."""
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
-    cfg = cfg or CountingConfig()
-    seg_target = cfg.resolved_seg_target(f.degree)
-
-    lf = lipschitz_bound(f)
-    lg = lipschitz_bound(g)
-    if lf == 0.0 and lg == 0.0:
-        # two constant maps: distinct points never meet, coincident ones overlap
-        coincident = f.xa[0] == g.xa[0] and f.ya[0] == g.ya[0]
-        return IntersectionResult(0, [], math.inf, coincident)
-    if lf == 0.0 or lg == 0.0:
-        # point versus curve: meets only on a measure-zero set; report no
-        # crossings (a transversal crossing needs two moving branches)
-        return IntersectionResult(0, [], math.inf, False)
-
-    mf = max(_MIN_VERTICES, math.ceil(TWO_PI * lf / seg_target))
-    mg = max(_MIN_VERTICES, math.ceil(TWO_PI * lg / seg_target))
-    fx, fy = _closed_polyline(f, mf)
-    gx, gy = _closed_polyline(g, mg)
-    i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
-
-    res_tol = 10.0 * cfg.newton_tol * point_radius_bound(f.degree, 0)
-    phi, psi, det, ok = _newton_batch(f, g, (i + t) * (TWO_PI / mf), (j + s) * (TWO_PI / mg),
-                                      res_tol, cfg)
-    failed = not ok.all()
-    phi, psi, det = phi[ok], psi[ok], det[ok]
-    keep = _first_of_clusters(phi, psi, cfg.dedupe_radius)
-    phi, psi, det = phi[keep], psi[keep], det[keep]
-    order = np.lexsort((psi, phi))
-    solutions = list(zip(phi[order].tolist(), psi[order].tolist()))
-    min_abs_det = float(np.min(np.abs(det), initial=math.inf))
-    count = len(solutions)
-    degenerate = (
-        touch
-        or failed
-        or count % 2 == 1
-        or min_abs_det < cfg.degeneracy_threshold
-    )
-    return IntersectionResult(count, solutions, min_abs_det, degenerate)
+    return count_intersections_many([(f, g)], cfg)[0]
 
 
 def _polyline_cross_count(f: TrigCurve, g: TrigCurve, m: int) -> int:
     """Strict crossing count of the two closed m-vertex polylines, testing
     every pair of overlapping segment boxes (no sweep), in row blocks."""
-    fx, fy = _closed_polyline(f, m)
-    gx, gy = _closed_polyline(g, m)
+    fx, fy = _closed_polylines(_stack([f]), np.array([m]))
+    gx, gy = _closed_polylines(_stack([g]), np.array([m]))
     fx0, fx1 = np.minimum(fx[:-1], fx[1:]), np.maximum(fx[:-1], fx[1:])
     fy0, fy1 = np.minimum(fy[:-1], fy[1:]), np.maximum(fy[:-1], fy[1:])
     gx0, gx1 = np.minimum(gx[:-1], gx[1:]), np.maximum(gx[:-1], gx[1:])

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import MeanValue, check_degree, check_order, mean_intersections_exact
-from .intersect import CountingConfig, count_intersections
+from .intersect import CountingConfig, count_intersections_many
 from .sampling import SeedSpec, sample_max_norm_weighted_pair, sample_pair
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# sample indices drawn and then counted by one count_intersections_many call
+_BLOCK_PAIRS = 64
 
 __all__ = [
     "ExperimentConfig",
@@ -84,15 +86,18 @@ def _sample_counts(cfg: ExperimentConfig, lo: int, hi: int):
     kind, k = parse_distribution(cfg.distribution)
     counts = []
     degen = []
-    for index in range(lo, hi):
-        seed = SeedSpec(cfg.master_seed, index)
-        if kind == "uniform":
-            pair = sample_pair(cfg.N, cfg.r, seed)
-        else:
-            pair = sample_max_norm_weighted_pair(cfg.N, cfg.r, k, seed)
-        res = count_intersections(pair.f, pair.g, cfg.counting)
-        counts.append(res.count)
-        degen.append(res.degenerate)
+    for start in range(lo, hi, _BLOCK_PAIRS):
+        pairs = []
+        for index in range(start, min(start + _BLOCK_PAIRS, hi)):
+            seed = SeedSpec(cfg.master_seed, index)
+            if kind == "uniform":
+                pair = sample_pair(cfg.N, cfg.r, seed)
+            else:
+                pair = sample_max_norm_weighted_pair(cfg.N, cfg.r, k, seed)
+            pairs.append((pair.f, pair.g))
+        for res in count_intersections_many(pairs, cfg.counting):
+            counts.append(res.count)
+            degen.append(res.degenerate)
     return lo, counts, degen
 
 

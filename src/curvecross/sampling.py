@@ -64,27 +64,31 @@ class CurvePair:
             raise ValueError("pair components must have equal degrees")
 
 
+@lru_cache(maxsize=None)
+def _iso_layout(N: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and divisor that take isometric coordinates u to the
+    coefficients (xa, xb, ya, yb), concatenated: coefficient k is
+    u[index[k]] / weight[k].
+
+    Layout of u: u[0] -> a0*sqrt(2), u[1] -> ya0*sqrt(2), then for each
+    frequency j the block (a_j, b_j, ya_j, yb_j) scaled by sqrt(tau(j, r)).
+    """
+    base = 2 + 4 * np.arange(N)
+    w = np.array([math.sqrt(float(tau(j, r))) for j in range(1, N + 1)])
+    index = np.concatenate(([0], base, base + 1, [1], base + 2, base + 3))
+    weight = np.concatenate(([_SQRT2], w, w, [_SQRT2], w, w))
+    index.setflags(write=False)  # shared by every caller through the cache
+    weight.setflags(write=False)
+    return index, weight
+
+
 def _iso_to_curve(N: int, r: int, u: np.ndarray) -> TrigCurve:
     """Map isometric coordinates (where the metric is the plain Euclidean one)
-    to curve coefficients.
-
-    Layout: u[0] -> a0*sqrt(2), u[1] -> ya0*sqrt(2), then for each frequency j
-    the block (a_j, b_j, ya_j, yb_j) scaled by sqrt(tau(j, r)).
-    """
-    xa = np.empty(N + 1)
-    xb = np.empty(N)
-    ya = np.empty(N + 1)
-    yb = np.empty(N)
-    xa[0] = u[0] / _SQRT2
-    ya[0] = u[1] / _SQRT2
-    for j in range(1, N + 1):
-        w = math.sqrt(float(tau(j, r)))
-        base = 2 + 4 * (j - 1)
-        xa[j] = u[base] / w
-        xb[j - 1] = u[base + 1] / w
-        ya[j] = u[base + 2] / w
-        yb[j - 1] = u[base + 3] / w
-    return TrigCurve(N, xa, xb, ya, yb)
+    to curve coefficients; see _iso_layout."""
+    index, weight = _iso_layout(N, r)
+    coeffs = u[index] / weight
+    return TrigCurve(N, coeffs[:N + 1], coeffs[N + 1:2 * N + 1],
+                     coeffs[2 * N + 1:3 * N + 2], coeffs[3 * N + 2:])
 
 
 def _ball_point(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ from curvecross.curves import (
     derivative,
     evaluate,
     evaluate_many,
+    evaluate_rows,
     inner_product,
     lipschitz_bound,
     load_curve,
@@ -49,6 +50,25 @@ class TestEvaluate:
         b = evaluate(c, 1.25 + TWO_PI)
         assert a.x == pytest.approx(b.x, abs=1e-12)
         assert a.y == pytest.approx(b.y, abs=1e-12)
+
+    def test_stacked_rows_match_each_curve(self):
+        # every value of a stacked evaluation is bit-identical to evaluating
+        # its curve alone, whatever the other rows and run lengths
+        curves = [sample_unit_ball_curve(3, i % 2, SeedSpec(71, i)) for i in range(6)]
+        counts = np.array([5, 1, 0, 17, 3, 64])
+        rng = np.random.default_rng(3)
+        phis = rng.uniform(-10.0, 10.0, counts.sum())
+        stack = [np.array([getattr(c, name) for c in curves]) for name in ("xa", "xb", "ya", "yb")]
+        xs, ys = evaluate_rows(*stack, phis, counts)
+        ends = np.cumsum(counts)
+        for c, lo, hi in zip(curves, ends - counts, ends):
+            want = evaluate_many(c, phis[lo:hi])
+            assert np.array_equal(xs[lo:hi], want[0]) and np.array_equal(ys[lo:hi], want[1])
+
+    def test_shape_follows_angles(self):
+        xs, ys = evaluate_many(unit_circle(), np.zeros((2, 3)))
+        assert xs.shape == ys.shape == (2, 3)
+        assert evaluate_many(unit_circle(), 0.0)[0].shape == ()
 
     @given(trig_curves(), st.floats(0.0, TWO_PI))
     def test_matches_vectorized(self, c, phi):

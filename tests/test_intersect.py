@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,12 @@ from curvecross.intersect import (
     CountingConfig,
     _first_of_clusters,
     _newton_batch,
+    _pair_matrix,
     _polyline_crossings,
+    _stack,
     brute_force_count,
     count_intersections,
+    count_intersections_many,
     newton_refine,
     segment_proper_cross,
 )
@@ -37,6 +41,16 @@ def tangent_circle() -> TrigCurve:
     # (2 - cos psi, sin psi): touches the unit circle at (1, 0), the vertex at
     # parameter 0 of both polylines
     return TrigCurve(1, [2.0, -1.0], [0.0], [0.0, 0.0], [1.0])
+
+
+def seed_rows(f, g, seeds: int):
+    """Per-seed Newton map rows and offsets of one pair, for seeds seeds."""
+    rows, offset = _pair_matrix(_stack([f]), _stack([g]))
+    return np.repeat(rows, seeds, axis=0), np.repeat(offset, seeds, axis=0)
+
+
+def result_key(res):
+    return (res.count, res.degenerate, res.solutions, res.min_abs_det)
 
 
 class TestSegmentProperCross:
@@ -158,8 +172,8 @@ class TestNewton:
     def test_batch_freezes_singular_seed(self):
         # the first seed sits on the tangency, where det is exactly 0, while
         # the second one still steps: the batch must not divide by that det
-        phi, psi, det, ok = _newton_batch(unit_circle(), tangent_circle(), [0.0, 0.3], [0.0, 2.9],
-                                          1e-11, CountingConfig())
+        phi, psi, det, ok = _newton_batch(*seed_rows(unit_circle(), tangent_circle(), 2),
+                                          [0.0, 0.3], [0.0, 2.9], 1e-11, CountingConfig())
         assert det[0] == 0.0
         assert not ok[0]
 
@@ -167,8 +181,9 @@ class TestNewton:
         phi_true = math.acos(0.75)
         seeds = [(phi_true + 0.01, math.pi - phi_true - 0.02), (-phi_true + 0.02, math.pi + phi_true),
                  (0.3, 0.7)]
-        phi, psi, det, ok = _newton_batch(unit_circle(), shifted_circle(), *zip(*seeds),
-                                          10.0 * 1e-12 * point_radius_bound(1, 0), CountingConfig())
+        phi, psi, det, ok = _newton_batch(*seed_rows(unit_circle(), shifted_circle(), len(seeds)),
+                                          *zip(*seeds), 10.0 * 1e-12 * point_radius_bound(1, 0),
+                                          CountingConfig())
         for k, (p0, q0) in enumerate(seeds):
             hit = newton_refine(unit_circle(), shifted_circle(), p0, q0)
             assert (hit is not None) == ok[k]
@@ -198,6 +213,78 @@ class TestDegreeMismatch:
     def test_rejected(self):
         with pytest.raises(ValueError, match="degree mismatch"):
             count_intersections(unit_circle(), TrigCurve.zero(2))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            count_intersections_many([(unit_circle(), shifted_circle()),
+                                      (unit_circle(), TrigCurve.zero(2))])
+
+    def test_mixed_degrees_in_one_call_rejected(self):
+        with pytest.raises(ValueError, match="different degrees"):
+            count_intersections_many([(unit_circle(), shifted_circle()),
+                                      (TrigCurve.zero(2), TrigCurve.zero(2))])
+
+
+def degree_one_fixtures():
+    point = TrigCurve(1, [0.2, 0.0], [0.0], [0.1, 0.0], [0.0])
+    return [
+        (unit_circle(), shifted_circle()),
+        (unit_circle(), far_small_circle()),
+        (unit_circle(), unit_circle()),  # coincident
+        (unit_circle(), tangent_circle()),  # exact touch
+        (tangent_circle(), unit_circle()),
+        (point, unit_circle()),  # point against curve
+        (unit_circle(), point),
+        (point, point),  # coincident constants
+        (point, TrigCurve(1, [-0.3, 0.0], [0.0], [0.0, 0.0], [0.0])),  # distinct constants
+    ]
+
+
+class TestBlocks:
+    """count_intersections_many against counting each pair alone."""
+
+    @staticmethod
+    def _check(pairs):
+        many = count_intersections_many(pairs)
+        reversed_ = count_intersections_many(pairs[::-1])[::-1]
+        alone = [count_intersections(f, g) for f, g in pairs]
+        assert len(many) == len(pairs)
+        for a, b, c in zip(many, reversed_, alone):
+            assert result_key(a) == result_key(b) == result_key(c)
+        return many
+
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    def test_sampled_pairs(self, N):
+        pairs = [sample_pair(N, i % 2, SeedSpec(606, i)) for i in range(200)]
+        results = self._check([(p.f, p.g) for p in pairs])
+        assert sum(res.count for res in results) > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_fixtures(self):
+        pairs = degree_one_fixtures()
+        pairs += [(p.f, p.g) for p in (sample_pair(1, 0, SeedSpec(607, i)) for i in range(20))]
+        results = self._check(pairs)
+        assert [(r.count, r.degenerate) for r in results[:9]] == [
+            (2, False), (0, False), (0, True), (0, True), (0, True), (0, False), (0, False),
+            (0, True), (0, False)]
+        constants = [(TrigCurve(0, [0.1], [], [0.2], []), TrigCurve(0, [0.1], [], [0.2], [])),
+                     (TrigCurve(0, [0.1], [], [0.2], []), TrigCurve(0, [-0.3], [], [0.0], []))]
+        assert [r.degenerate for r in self._check(constants)] == [True, False]
+
+    def test_empty(self):
+        assert count_intersections_many([]) == []
+
+    def test_memory_bounded_by_block(self):
+        # the block constant, not the number of pairs in the call, sets the peak
+        pairs = [(p.f, p.g) for p in (sample_pair(8, 0, SeedSpec(608, i)) for i in range(256))]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                count_intersections_many(pairs[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 1.5 * peak(32)
 
 
 class TestRandomPairs:
@@ -338,8 +425,15 @@ class TestSweep:
     """The sort-and-sweep candidate pass against an all-pairs loop."""
 
     @staticmethod
-    def _check(fx, fy, gx, gy):
-        i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
+    def _sweep(fx, fy, gx, gy):
+        """The sweep over one pair of polylines."""
+        p, i, j, t, s, touch = _polyline_crossings(fx, fy, np.array([fx.size - 1]),
+                                                   gx, gy, np.array([gx.size - 1]))
+        assert np.all(p == 0) and touch.shape == (1,)
+        return i, j, t, s, bool(touch[0])
+
+    def _check(self, fx, fy, gx, gy):
+        i, j, t, s, touch = self._sweep(fx, fy, gx, gy)
         crossings, dense_touch = _dense_crossings(fx, fy, gx, gy)
         assert set(zip(i.tolist(), j.tolist())) == crossings
         assert len(crossings) == i.size
@@ -362,7 +456,7 @@ class TestSweep:
         for _ in range(200):
             fx, fy, gx, gy = rng.integers(0, 4, size=(4, 12)).astype(float)
             self._check(fx, fy, gx, gy)
-            touched += _polyline_crossings(fx, fy, gx, gy)[4]
+            touched += self._sweep(fx, fy, gx, gy)[4]
         assert touched > 50
 
     @pytest.mark.filterwarnings("error")
@@ -372,9 +466,28 @@ class TestSweep:
         for fx, fy, gx, gy in ((one, one, square, square[::-1]),
                                (square, square[::-1], one, one),
                                (np.zeros(4), np.zeros(4), square, square[::-1])):
-            i, j, t, s, touch = _polyline_crossings(fx, fy, gx, gy)
+            i, j, t, s, touch = self._sweep(fx, fy, gx, gy)
             assert i.size == j.size == t.size == s.size == 0
             assert not touch
+
+
+    def test_pairs_kept_apart(self):
+        # polylines of several pairs on the same integer grid, so their boxes
+        # overlap across pairs: one sweep over all of them finds each pair's
+        # crossings and touches as the sweep over that pair alone does
+        rng = np.random.default_rng(9)
+        lines = [rng.integers(0, 4, size=(4, size)).astype(float) for size in (12, 2, 7, 12, 30)]
+        fx, fy, gx, gy = (np.concatenate([line[k] for line in lines]) for k in range(4))
+        m = np.array([line.shape[1] - 1 for line in lines])
+        p, i, j, t, s, touch = _polyline_crossings(fx, fy, m, gx, gy, m)
+        assert np.all(np.diff(p) >= 0)
+        for k, line in enumerate(lines):
+            alone = self._sweep(*line)
+            mine = p == k
+            for got, want in zip((i[mine], j[mine], t[mine], s[mine]), alone[:4]):
+                assert np.array_equal(got, want)
+            assert touch[k] == alone[4]
+        assert touch.any() and p.size
 
 
 def _kept_loop(phi, psi, radius):
@@ -394,13 +507,13 @@ class TestDedup:
         r = 1e-6
         phi = np.array([1.0, 1.0 + 0.8 * r, 1.0 + 1.6 * r])
         psi = np.array([2.0, 2.0, 2.0])
-        assert _first_of_clusters(phi, psi, r).tolist() == [True, False, True]
+        assert _first_of_clusters(phi, psi, np.zeros(3, int), r).tolist() == [True, False, True]
 
     def test_wraps_around_the_torus(self):
         r = 1e-6
         phi = np.array([0.0, TWO_PI - 0.5 * r, 3.0])
         psi = np.array([TWO_PI, 0.25 * r, 3.0])
-        assert _first_of_clusters(phi, psi, r).tolist() == [True, False, True]
+        assert _first_of_clusters(phi, psi, np.zeros(3, int), r).tolist() == [True, False, True]
 
     def test_matches_loop_across_blocks(self):
         # 600 roots in tight clumps and chains, so rows in later blocks of 256
@@ -411,13 +524,27 @@ class TestDedup:
         pts = np.repeat(centers, 5, axis=0) + rng.uniform(-1.5 * r, 1.5 * r, size=(600, 2))
         pts = np.mod(pts[rng.permutation(600)], TWO_PI)
         phi, psi = pts.T
-        keep = _first_of_clusters(phi, psi, r)
+        keep = _first_of_clusters(phi, psi, np.zeros(600, int), r)
         assert keep.tolist() == _kept_loop(phi, psi, r)
         assert 120 < keep.sum() < 600
 
     @pytest.mark.filterwarnings("error")
     def test_empty(self):
-        assert _first_of_clusters(np.empty(0), np.empty(0), 1e-6).size == 0
+        assert _first_of_clusters(np.empty(0), np.empty(0), np.empty(0, int), 1e-6).size == 0
+
+    def test_groups_apart(self):
+        # 600 clustered roots in 7 groups of uneven size: each group is deduped
+        # as if it were alone, across the 256-row blocks
+        rng = np.random.default_rng(12)
+        r = 1e-3
+        centers = rng.uniform(0.0, TWO_PI, size=(60, 2))
+        pts = np.repeat(centers, 10, axis=0) + rng.uniform(-1.5 * r, 1.5 * r, size=(600, 2))
+        phi, psi = np.mod(pts[rng.permutation(600)], TWO_PI).T
+        group = np.sort(rng.integers(0, 7, size=600))
+        keep = _first_of_clusters(phi, psi, group, r)
+        for k in range(7):
+            mine = group == k
+            assert keep[mine].tolist() == _kept_loop(phi[mine], psi[mine], r)
 
 
 class TestGoldenCounts:
@@ -427,9 +554,10 @@ class TestGoldenCounts:
         golden = json.loads((Path(__file__).parent / "golden_counts.json").read_text())
         for cell, expected in golden["cells"].items():
             N, r = (int(v) for v in cell[1:].split("r"))
-            got = []
-            for i in range(golden["pairs_per_cell"]):
-                pair = sample_pair(N, r, SeedSpec(golden["master_seed"], i))
-                res = count_intersections(pair.f, pair.g)
-                got.append(f"{res.count}{'*' if res.degenerate else ''}")
-            assert " ".join(got) == expected, cell
+            pairs = [sample_pair(N, r, SeedSpec(golden["master_seed"], i))
+                     for i in range(golden["pairs_per_cell"])]
+            alone = [count_intersections(p.f, p.g) for p in pairs]
+            together = count_intersections_many([(p.f, p.g) for p in pairs])
+            for results in (alone, together):
+                got = " ".join(f"{res.count}{'*' if res.degenerate else ''}" for res in results)
+                assert got == expected, cell

@@ -73,6 +73,19 @@ class TestRunExperiment:
         assert summary_fields(results[0]) == summary_fields(results[1]) == summary_fields(results[2])
         assert np.array_equal(results[0].counts, results[2].counts)
 
+    @pytest.mark.parametrize("N,distribution", [(2, "uniform"), (1, "maxnorm:4")])
+    def test_blocks_invisible_across_workers(self, N, distribution):
+        # 203 samples: not a multiple of the pairs counted per block, so the
+        # workers' chunks end in partial blocks
+        base = ExperimentConfig(N=N, num_samples=203, master_seed=13, distribution=distribution)
+        results = [
+            run_experiment(dataclasses.replace(base, worker_count=w)) for w in (1, 2, 3)
+        ]
+        for res in results[1:]:
+            assert np.array_equal(res.counts, results[0].counts)
+            assert np.array_equal(res.degenerate_mask, results[0].degenerate_mask)
+        assert results[0].counts.sum() > 0
+
     def test_seed_changes_results(self):
         a = run_experiment(ExperimentConfig(N=1, num_samples=300, master_seed=1))
         b = run_experiment(ExperimentConfig(N=1, num_samples=300, master_seed=2))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from curvecross.curves import evaluate, norm
+from curvecross.curves import TrigCurve, evaluate, norm
+from curvecross.exact import tau
 from curvecross.sampling import (
     CurvePair,
     SeedSpec,
+    _ball_point,
     _iso_to_curve,
     fiber_candidates,
     sample_max_norm_weighted_pair,
@@ -16,6 +18,53 @@ from curvecross.sampling import (
 )
 
 from _support import iso_coordinates, unit_circle
+
+
+def iso_to_coeffs_loop(N, r, u):
+    """The coefficient map as a loop over frequencies: the reference for
+    the cached gather in sampling._iso_to_curve."""
+    xa = np.empty(N + 1)
+    xb = np.empty(N)
+    ya = np.empty(N + 1)
+    yb = np.empty(N)
+    xa[0] = u[0] / math.sqrt(2.0)
+    ya[0] = u[1] / math.sqrt(2.0)
+    for j in range(1, N + 1):
+        w = math.sqrt(float(tau(j, r)))
+        base = 2 + 4 * (j - 1)
+        xa[j] = u[base] / w
+        xb[j - 1] = u[base + 1] / w
+        ya[j] = u[base + 2] / w
+        yb[j - 1] = u[base + 3] / w
+    return xa, xb, ya, yb
+
+
+def loop_pair(N, r, k, seed):
+    """sample_max_norm_weighted_pair (sample_pair at k = 0) on the loop map."""
+    attempt = 0
+    while True:
+        f, g = (TrigCurve(N, *iso_to_coeffs_loop(N, r, _ball_point(4 * N + 2, 1.0,
+                                                                   seed.rng(attempt, side))))
+                for side in (0, 1))
+        p = max(norm(f, r), norm(g, r)) ** k
+        if p >= 1.0 or seed.rng(attempt, 2).random() < p:
+            return f, g
+        attempt += 1
+
+
+class TestIsoMap:
+    @pytest.mark.parametrize("N", [0, 1, 2, 8])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_gather_matches_loop(self, N, r):
+        for i in range(50):
+            seed = SeedSpec(808, i)
+            pair = sample_pair(N, r, seed)
+            weighted = sample_max_norm_weighted_pair(N, r, 3.0, seed)
+            for got, want in ((pair, loop_pair(N, r, 0, seed)),
+                              (weighted, loop_pair(N, r, 3.0, seed))):
+                for curve, ref in zip((got.f, got.g), want):
+                    for name in ("xa", "xb", "ya", "yb"):
+                        assert np.array_equal(getattr(curve, name), getattr(ref, name))
 
 
 class TestSeedSpec:
