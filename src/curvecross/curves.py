@@ -110,11 +110,13 @@ def evaluate_rows(xa, xb, ya, yb, phis, counts) -> tuple[np.ndarray, np.ndarray]
     t = np.asarray(phis, dtype=float) % TWO_PI
 
     def per_angle(c, j):
-        # coefficient j of each angle's curve
+        # coefficient j of each angle's curve; one row broadcasts as a scalar
+        if c.shape[0] == 1:
+            return c[0, j]
         return np.repeat(c[:, j], counts).reshape(t.shape)
 
-    xs = per_angle(xa, 0)
-    ys = per_angle(ya, 0)
+    xs = np.full(t.shape, per_angle(xa, 0))
+    ys = np.full(t.shape, per_angle(ya, 0))
     for j in range(1, xa.shape[1]):
         cj = np.cos(j * t)
         sj = np.sin(j * t)

@@ -195,7 +195,8 @@ def _newton_batch(rows, offset, phi, psi, res_tol: float, cfg: CountingConfig):
         live = live[step]
         if not live.size:
             break
-        rx, ry, dfx, dfy, dgx, dgy, d = (v[step] for v in (rx, ry, dfx, dfy, dgx, dgy, d))
+        rx, ry, dfx, dfy, dgx, dgy = values[step].T
+        d = d[step]
         phi[live] = p[step] + (rx * dgy - ry * dgx) / d
         psi[live] = q[step] + (rx * dfy - ry * dfx) / d
     return np.mod(phi, TWO_PI), np.mod(psi, TWO_PI), det, ok
@@ -243,38 +244,40 @@ def _live_segments(xs: np.ndarray, ys: np.ndarray, m: np.ndarray):
     return line, idx, np.minimum(x1, x2), np.maximum(x1, x2), np.minimum(y1, y2), np.maximum(y1, y2)
 
 
-def _polyline_crossings(fx, fy, mf, gx, gy, mg):
+def _polyline_crossings(xs, ys, m):
     """Proper crossings of the f and g polylines of each pair of a block, from
     one sort and sweep over all their segment boxes.
 
-    fx, fy hold the pairs' closed f polylines concatenated, pair p's with
-    mf[p] + 1 vertices; gx, gy the g polylines likewise. Returns
-    (p, i, j, t, s, touch): the pair, f segment and g segment of each
-    crossing in (pair, g segment, f segment) order, the fractions t and s of
-    the way along the two segments, and a mask of the pairs in which some
-    pair of overlapping boxes held a touch or a collinear overlap.
+    xs, ys hold closed polylines concatenated, polyline k with m[k] + 1
+    vertices: the n = m.size // 2 pairs' f polylines, then their g polylines
+    in the same pair order. Returns (p, i, j, t, s, touch): the pair, f
+    segment and g segment of each crossing in (pair, g segment, f segment)
+    order, the fractions t and s of the way along the two segments, and a
+    mask of the pairs in which some pair of overlapping boxes held a touch or
+    a collinear overlap.
     """
-    fp, fi, fx0, fx1, fy0, fy1 = _live_segments(fx, fy, mf)
-    gp, gj, gx0, gx1, gy0, gy1 = _live_segments(gx, gy, mg)
+    n = m.size // 2
+    line, v, x0, x1, y0, y1 = _live_segments(xs, ys, m)
+    cut = np.searchsorted(line, n)
+    fp, fi, fx0, fx1, fy0, fy1 = line[:cut], v[:cut], x0[:cut], x1[:cut], y0[:cut], y1[:cut]
+    gp, gj, gx0, gx1, gy0, gy1 = line[cut:] - n, v[cut:], x0[cut:], x1[cut:], y0[cut:], y1[cut:]
     # each pair's boxes are moved along x into a band of their own, so one
     # sweep serves all pairs; rounding in the move can only widen a window,
     # and the exact test below on the unmoved boxes drops what it adds
-    fstart = np.cumsum(mf + 1) - (mf + 1)
-    gstart = np.cumsum(mg + 1) - (mg + 1)
-    lo = np.minimum(np.minimum.reduceat(fx, fstart), np.minimum.reduceat(gx, gstart))
-    hi = np.maximum(np.maximum.reduceat(fx, fstart), np.maximum.reduceat(gx, gstart))
-    band = np.cumsum(hi - lo + 1.0)
-    shift = band - (hi - lo + 1.0) - lo
+    first = np.cumsum(m + 1) - (m + 1)
+    lo = np.minimum.reduceat(xs, first)
+    hi = np.maximum.reduceat(xs, first)
+    width = np.maximum(hi[:n], hi[n:]) - np.minimum(lo[:n], lo[n:]) + 1.0
+    shift = np.cumsum(width) - width - np.minimum(lo[:n], lo[n:])
     fk0 = fx0 + shift[fp]
     order = np.argsort(fk0, kind="stable")
     fp, fi, fx0, fx1, fy0, fy1 = fp[order], fi[order], fx0[order], fx1[order], fy0[order], fy1[order]
-    fk0 = fk0[order]
     gshift = shift[gp]
     # with f's boxes in shifted x-min order, the boxes that can meet g box b
     # run from the first whose running x-max reaches b's x-min to the last
     # whose x-min is at most b's x-max
     start = np.searchsorted(np.maximum.accumulate(fx1 + shift[fp]), gx0 + gshift, "left")
-    width = np.maximum(np.searchsorted(fk0, gx1 + gshift, "right") - start, 0)
+    width = np.maximum(np.searchsorted(fk0[order], gx1 + gshift, "right") - start, 0)
     ends = np.cumsum(width)
     a = np.arange(ends[-1] if ends.size else 0) + np.repeat(start - (ends - width), width)
     # the y test first, as it drops most of the window; then the exact x test
@@ -287,13 +290,14 @@ def _polyline_crossings(fx, fy, mf, gx, gy, mg):
     i = fi[a[hit]]
     j = gj[b[hit]]
     order = np.lexsort((i, j))
-    i, j, p = i[order], j[order], gp[b[hit]][order]
+    i, j = i[order], j[order]
     d1, d2, d3, d4, proper = _cross_tests(
-        fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])
-    touch = np.zeros(mg.size, dtype=bool)
+        xs[i], ys[i], xs[i + 1], ys[i + 1], xs[j], ys[j], xs[j + 1], ys[j + 1])
+    p = gp[b[hit]][order]
+    touch = np.zeros(n, dtype=bool)
     touch[p[~proper & ((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0))]] = True
     d1, d2, d3, d4, p = d1[proper], d2[proper], d3[proper], d4[proper], p[proper]
-    return (p, i[proper] - fstart[p], j[proper] - gstart[p],
+    return (p, i[proper] - first[p], j[proper] - first[n + p],
             d3 / (d3 - d4), d1 / (d1 - d2), touch)
 
 
@@ -324,32 +328,32 @@ def _first_of_clusters(phi: np.ndarray, psi: np.ndarray, group: np.ndarray,
 def _count_block(fs, gs, mf, mg, cfg: CountingConfig) -> list[IntersectionResult]:
     """Results for the pairs (fs[p], gs[p]) of one block, none of them with a
     constant curve, counted on polylines of mf[p] and mg[p] segments."""
-    mf = np.array(mf)
-    mg = np.array(mg)
     n = len(fs)
-    f = _stack(fs)
-    g = _stack(gs)
-    xs, ys = _closed_polylines(tuple(np.concatenate(pair) for pair in zip(f, g)),
-                               np.concatenate((mf, mg)))
-    nf = int(np.sum(mf + 1))
-    p, i, j, t, s, touch = _polyline_crossings(xs[:nf], ys[:nf], mf, xs[nf:], ys[nf:], mg)
+    stack = _stack(fs + gs)
+    f = tuple(a[:n] for a in stack)
+    g = tuple(a[n:] for a in stack)
+    m = np.array(mf + mg)
+    xs, ys = _closed_polylines(stack, m)
+    p, i, j, t, s, touch = _polyline_crossings(xs, ys, m)
 
     rows, offset = _pair_matrix(f, g)
-    phi, psi, det, ok = _newton_batch(rows[p], offset[p], (i + t) * (TWO_PI / mf)[p],
-                                      (j + s) * (TWO_PI / mg)[p], _res_tol(fs[0].degree, cfg), cfg)
+    step = TWO_PI / m
+    phi, psi, det, ok = _newton_batch(rows[p], offset[p], (i + t) * step[p], (j + s) * step[n + p],
+                                      _res_tol(fs[0].degree, cfg), cfg)
     failed = np.bincount(p[~ok], minlength=n) > 0
-    p, phi, psi, det = p[ok], phi[ok], psi[ok], det[ok]
-    keep = _first_of_clusters(phi, psi, p, cfg.dedupe_radius)
-    p, phi, psi, det = p[keep], phi[keep], psi[keep], det[keep]
-    order = np.lexsort((psi, phi, p))
-    solutions = list(zip(phi[order].tolist(), psi[order].tolist()))
-    count = np.bincount(p, minlength=n)
+    kept = np.flatnonzero(ok)
+    kept = kept[_first_of_clusters(phi[kept], psi[kept], p[kept], cfg.dedupe_radius)]
+    kept = kept[np.lexsort((psi[kept], phi[kept], p[kept]))]
+    solutions = list(zip(phi[kept].tolist(), psi[kept].tolist()))
+    count = np.bincount(p[kept], minlength=n)
+    ends = np.cumsum(count)
     min_abs_det = np.full(n, math.inf)
-    np.minimum.at(min_abs_det, p, np.abs(det))
+    found = count > 0
+    min_abs_det[found] = np.minimum.reduceat(np.abs(det[kept]), (ends - count)[found])
     degenerate = touch | failed | (count % 2 == 1) | (min_abs_det < cfg.degeneracy_threshold)
-    ends = np.cumsum(count).tolist()
     return [IntersectionResult(c, solutions[e - c:e], d, bad)
-            for c, e, d, bad in zip(count.tolist(), ends, min_abs_det.tolist(), degenerate.tolist())]
+            for c, e, d, bad in zip(count.tolist(), ends.tolist(), min_abs_det.tolist(),
+                                    degenerate.tolist())]
 
 
 def count_intersections_many(pairs, cfg: CountingConfig | None = None) -> list[IntersectionResult]:

@@ -427,8 +427,8 @@ class TestSweep:
     @staticmethod
     def _sweep(fx, fy, gx, gy):
         """The sweep over one pair of polylines."""
-        p, i, j, t, s, touch = _polyline_crossings(fx, fy, np.array([fx.size - 1]),
-                                                   gx, gy, np.array([gx.size - 1]))
+        p, i, j, t, s, touch = _polyline_crossings(np.concatenate((fx, gx)), np.concatenate((fy, gy)),
+                                                   np.array([fx.size - 1, gx.size - 1]))
         assert np.all(p == 0) and touch.shape == (1,)
         return i, j, t, s, bool(touch[0])
 
@@ -477,9 +477,10 @@ class TestSweep:
         # crossings and touches as the sweep over that pair alone does
         rng = np.random.default_rng(9)
         lines = [rng.integers(0, 4, size=(4, size)).astype(float) for size in (12, 2, 7, 12, 30)]
-        fx, fy, gx, gy = (np.concatenate([line[k] for line in lines]) for k in range(4))
-        m = np.array([line.shape[1] - 1 for line in lines])
-        p, i, j, t, s, touch = _polyline_crossings(fx, fy, m, gx, gy, m)
+        xs = np.concatenate([line[0] for line in lines] + [line[2] for line in lines])
+        ys = np.concatenate([line[1] for line in lines] + [line[3] for line in lines])
+        m = np.array([line.shape[1] - 1 for line in lines] * 2)
+        p, i, j, t, s, touch = _polyline_crossings(xs, ys, m)
         assert np.all(np.diff(p) >= 0)
         for k, line in enumerate(lines):
             alone = self._sweep(*line)
