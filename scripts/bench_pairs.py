@@ -6,7 +6,9 @@ on the held-out seed 7919; then 5 pairs of traced runs on seed 1. Each
 checkout runs its own copy of the benchmark, so give both the same
 ``benchmarks/`` tree. Reports both git SHAs, the machine notes, and, per
 workload and metric, each side's runs, median and quartiles and how many
-pairs the change won.
+pairs the change won. Last, 3 alternating pairs of processes time per-pair
+sampling and one-pair counting in each checkout's package (``MICRO``); each
+timing is the fastest over the processes.
 
     python scripts/bench_pairs.py --parent ../parent --change . --out BENCH_2.json
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -28,6 +31,38 @@ CONFIRM_PAIRS = 3
 TRACED_PAIRS = 5
 TRACED = ("intersect.count_self_s", "intersect.count_busy_s", "curves.eval_busy_s",
           "sampling.busy_s", "montecarlo.self_s", "trace.overhead")
+MICRO_PAIRS = 3
+
+# Microseconds per pair, printed as one JSON line: each sampler the package
+# has, on 64 indices of seed 1 at r=0 (timeit, fastest of 5), and
+# count_intersections on 300 pre-sampled r=0 pairs (fastest of 7 passes).
+MICRO = r"""
+import json, time, timeit
+import curvecross.sampling as S
+from curvecross.intersect import count_intersections
+out = {}
+def per_pair(fn, number):
+    return min(timeit.repeat(fn, number=number, repeat=5)) / number / 64 * 1e6
+for N in (1, 2, 8):
+    out[f"sample_pair_N{N}"] = per_pair(
+        lambda: [S.sample_pair(N, 0, S.SeedSpec(1, i)) for i in range(64)], 3)
+    out[f"sample_max_norm_weighted_pair_k4_N{N}"] = per_pair(
+        lambda: [S.sample_max_norm_weighted_pair(N, 0, 4.0, S.SeedSpec(1, i)) for i in range(64)], 3)
+    if hasattr(S, "sample_pairs"):
+        out[f"sample_pairs_block64_N{N}"] = per_pair(lambda: S.sample_pairs(N, 0, 1, range(64)), 10)
+        out[f"sample_max_norm_weighted_pairs_k4_block64_N{N}"] = per_pair(
+            lambda: S.sample_max_norm_weighted_pairs(N, 0, 4.0, 1, range(64)), 10)
+for N in (1, 2):
+    pairs = [S.sample_pair(N, 0, S.SeedSpec(1, i)) for i in range(300)]
+    best = float("inf")
+    for _ in range(7):
+        t = time.perf_counter()
+        for p in pairs:
+            count_intersections(p.f, p.g)
+        best = min(best, time.perf_counter() - t)
+    out[f"count_intersections_one_pair_N{N}"] = best / 300 * 1e6
+print(json.dumps(out))
+"""
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -45,6 +80,23 @@ def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
         "absent_spans": report.get("absent_spans"),
         "cells": report.get("cells"),
     }
+
+
+def micro(checkout: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    out = subprocess.run([sys.executable, "-c", MICRO], cwd=checkout, env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def micro_pairs(parent: Path, change: Path) -> dict:
+    """Fastest per-pair timings of each side over MICRO_PAIRS alternating pairs."""
+    runs = {"parent": [], "change": []}
+    for k in range(MICRO_PAIRS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(micro(parent if side == "parent" else change))
+    return {side: {name: min(r[name] for r in rs) for name in rs[0]} for side, rs in runs.items()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -104,6 +156,10 @@ def notes(machine: dict) -> list:
         f"{m['numpy']}, scipy {m['scipy']}, {m['blas']} on {m['blas_threads']} thread(s).",
         "Stats are the median and the inclusive quartiles; change_wins counts pairs where the "
         "change was better in the metric's declared direction, ties counting for neither.",
+        f"micro_us_per_pair: {MICRO_PAIRS} alternating pairs of processes, each timing per-pair "
+        "sampling at N 1, 2 and 8 (r=0, 64 indices of seed 1, timeit fastest of 5) and "
+        "count_intersections on one pair at N 1 and 2 (300 pre-sampled r=0 pairs, fastest of 7 "
+        "passes); the value is the fastest over the processes.",
     ]
 
 
@@ -143,6 +199,8 @@ def main(argv=None) -> int:
             "workloads": workloads,
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # kept if a later workload fails
+    doc["micro_us_per_pair"] = micro_pairs(args.parent, args.change)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -26,7 +26,7 @@ from .chain import run_chain
 from .curves import SchemaError, load_curve, save_curve
 from .exact import asymptote_ratio, check_degree, check_order, mean_intersections_exact
 from .intersect import CountingConfig, count_intersections
-from .montecarlo import ExperimentConfig, run_experiment
+from .montecarlo import AllSamplesDiscarded, ExperimentConfig, run_experiment
 from .sampling import SeedSpec, sample_unit_ball_curve
 
 EXIT_OK = 0
@@ -133,7 +133,11 @@ def cmd_simulate(args) -> int:
         counting=_counting_config(args),
         distribution=args.distribution,
     )
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except AllSamplesDiscarded as e:
+        print(f"error: {e} (N={cfg.N}, {cfg.num_samples} samples)", file=sys.stderr)
+        return EXIT_TOLERANCE
     payload = {
         "N": cfg.N,
         "r": cfg.r,

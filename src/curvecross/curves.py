@@ -23,6 +23,7 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "PlanePoint",
     "TrigCurve",
+    "CurveRows",
     "SchemaError",
     "evaluate",
     "evaluate_many",
@@ -31,6 +32,7 @@ __all__ = [
     "inner_product",
     "norm",
     "lipschitz_bound",
+    "lipschitz_bounds",
     "point_radius_bound",
     "curve_to_json",
     "curve_from_json",
@@ -98,6 +100,64 @@ class TrigCurve:
         return not (self.xa[1:].any() or self.xb.any() or self.ya[1:].any() or self.yb.any())
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class CurveRows:
+    """K curves of one degree as stacked coefficient rows: row k of the
+    cosine arrays xa, ya (shape (K, N+1), constant term first) and of the
+    sine arrays xb, yb (shape (K, N)) is curve k. The block is validated
+    once, as a whole; the arrays are taken as given, not copied."""
+
+    degree: int
+    xa: np.ndarray
+    xb: np.ndarray
+    ya: np.ndarray
+    yb: np.ndarray
+
+    def __post_init__(self):
+        n = check_degree(self.degree)
+        object.__setattr__(self, "degree", n)
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in _FIELDS]
+        rows = arrays[0].shape[0] if arrays[0].ndim == 2 else -1
+        for name, arr, length in zip(_FIELDS, arrays, (n + 1, n, n + 1, n)):
+            if arr.shape != (rows, length):
+                raise ValueError(f"{name} must have shape (K, {length}) with one K for all "
+                                 f"four arrays, got shape {arr.shape}")
+        if not np.isfinite(np.concatenate(arrays, axis=1)).all():
+            bad = next(name for name, arr in zip(_FIELDS, arrays) if not np.isfinite(arr).all())
+            raise ValueError(f"{bad} contains non-finite entries")
+        for name, arr in zip(_FIELDS, arrays):
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def stack(cls, curves) -> "CurveRows":
+        """The rows of a non-empty sequence of equal-degree curves. Each
+        TrigCurve was validated when it was made, so the block is not
+        validated again."""
+        degrees = {c.degree for c in curves}
+        if len(degrees) != 1:
+            raise ValueError(f"curves of different degrees in one stack: {sorted(degrees)}")
+        rows = object.__new__(cls)
+        object.__setattr__(rows, "degree", degrees.pop())
+        for name in _FIELDS:
+            object.__setattr__(rows, name, np.array([getattr(c, name) for c in curves]))
+        return rows
+
+    def __len__(self) -> int:
+        return self.xa.shape[0]
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(xa, xb, ya, yb)."""
+        return self.xa, self.xb, self.ya, self.yb
+
+    def curve(self, k: int) -> TrigCurve:
+        return TrigCurve(self.degree, self.xa[k], self.xb[k], self.ya[k], self.yb[k])
+
+    def norms(self, r: int = 0) -> np.ndarray:
+        """Order-r norm of each row; row k's value equals norm(self.curve(k), r)."""
+        return np.sqrt(np.maximum(0.0, _inner_rows(self.arrays, self.arrays, check_order(r))))
+
+
 def evaluate_rows(xa, xb, ya, yb, phis, counts) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evaluation of stacked curves; returns (xs, ys) shaped like phis.
 
@@ -150,37 +210,54 @@ def derivative(c: TrigCurve, phi: float) -> PlanePoint:
     return evaluate(velocity, phi)
 
 
+def _inner_rows(a, b, r: int) -> np.ndarray:
+    """Order-r dot products of the rows of two stacks of coefficient arrays
+    (xa, xb, ya, yb), term by term in the same order for every row count."""
+    axa, axb, aya, ayb = a
+    bxa, bxb, bya, byb = b
+    total = 2.0 * (axa[:, 0] * bxa[:, 0] + aya[:, 0] * bya[:, 0])
+    for j in range(1, axa.shape[1]):
+        w = float(tau(j, r))
+        total += w * (
+            axa[:, j] * bxa[:, j]
+            + axb[:, j - 1] * bxb[:, j - 1]
+            + aya[:, j] * bya[:, j]
+            + ayb[:, j - 1] * byb[:, j - 1]
+        )
+    return total
+
+
 def inner_product(c1: TrigCurve, c2: TrigCurve, r: int = 0) -> float:
     """Coefficient-space dot product of two equal-degree curves under the
     order-r metric: weight 2 on constant terms, tau(j, r) on frequency j."""
     if c1.degree != c2.degree:
         raise ValueError(f"degree mismatch: {c1.degree} vs {c2.degree}")
     r = check_order(r)
-    total = 2.0 * (c1.xa[0] * c2.xa[0] + c1.ya[0] * c2.ya[0])
-    for j in range(1, c1.degree + 1):
-        w = float(tau(j, r))
-        total += w * (
-            c1.xa[j] * c2.xa[j]
-            + c1.xb[j - 1] * c2.xb[j - 1]
-            + c1.ya[j] * c2.ya[j]
-            + c1.yb[j - 1] * c2.yb[j - 1]
-        )
-    return float(total)
+    rows = [tuple(getattr(c, name)[None] for name in _FIELDS) for c in (c1, c2)]
+    return float(_inner_rows(*rows, r)[0])
 
 
 def norm(c: TrigCurve, r: int = 0) -> float:
     return math.sqrt(max(0.0, inner_product(c, c, r)))
 
 
+def _speed_bound(xa, xb, ya, yb) -> float:
+    total = 0.0
+    for j in range(1, len(xa)):
+        total += j * (math.hypot(xa[j], xb[j - 1]) + math.hypot(ya[j], yb[j - 1]))
+    return total
+
+
 def lipschitz_bound(c: TrigCurve) -> float:
     """A speed bound: |f(a) - f(b)| <= L |a - b| with
     L = sum_j j * (hypot(xa_j, xb_j) + hypot(ya_j, yb_j))."""
-    total = 0.0
-    for j in range(1, c.degree + 1):
-        total += j * (
-            math.hypot(c.xa[j], c.xb[j - 1]) + math.hypot(c.ya[j], c.yb[j - 1])
-        )
-    return total
+    return _speed_bound(c.xa.tolist(), c.xb.tolist(), c.ya.tolist(), c.yb.tolist())
+
+
+def lipschitz_bounds(rows: CurveRows) -> list[float]:
+    """lipschitz_bound of each row, by the same scalar arithmetic."""
+    return [_speed_bound(xa, xb, ya, yb) for xa, xb, ya, yb in
+            zip(rows.xa.tolist(), rows.xb.tolist(), rows.ya.tolist(), rows.yb.tolist())]
 
 
 @lru_cache(maxsize=None)

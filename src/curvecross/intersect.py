@@ -10,23 +10,26 @@ looks non-transversal (refinement failure, near-singular Jacobian, odd
 total, overlapping polyline geometry) raises the ``degenerate`` flag instead
 of guessing.
 
-Every stage treats each pair apart from the others: candidates are tested
-on the unshifted boxes together with a same-pair test, each seed's Newton
-sums run in an order fixed by the degree, and dedup compares roots of one
-pair only. A pair's result is therefore bit-identical whether it is counted
-alone (``count_intersections``) or in any block
-(``count_intersections_many``). A block holds at most ``_BLOCK_VERTICES``
-polyline vertices, which bounds its arrays.
+The pairs come as two ``curves.CurveRows`` blocks, row k of f against row k
+of g (``count_intersections_many``); ``count_intersections`` is its one-pair
+call on two ``TrigCurve`` objects. Every stage treats each pair apart from
+the others: candidates are tested on the unshifted boxes together with a
+same-pair test, each seed's Newton sums run in an order fixed by the
+degree, and dedup compares roots of one pair only. A pair's result is
+therefore bit-identical whether it is counted alone or in any block. A
+block holds at most ``_BLOCK_VERTICES`` polyline vertices, which bounds its
+arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .curves import TrigCurve, evaluate_rows, lipschitz_bound, point_radius_bound
+from .curves import CurveRows, TrigCurve, evaluate_rows, lipschitz_bounds, point_radius_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,29 +127,44 @@ def segment_proper_cross(p1, p2, q1, q2) -> bool:
     return bool(_cross_tests(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y)[4])
 
 
-def _stack(curves) -> tuple[np.ndarray, ...]:
-    """Coefficient arrays (xa, xb, ya, yb) of equal-degree curves, one row each."""
-    return tuple(np.array([getattr(c, name) for c in curves]) for name in ("xa", "xb", "ya", "yb"))
+@lru_cache(maxsize=None)
+def _pair_layout(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and factor that take a pair's coefficients c (f's xa,
+    xb, ya, yb, then g's, then one zero) to its _pair_matrix rows: entry
+    (i, k) is c[index[i, k]] * factor[i, k]. The factors are 1, -1, j and
+    -j, so each entry is rounded as the product it stands for."""
+    w = 4 * N + 2
+    k = np.arange(N)
+    fxa, fxb, fya, fyb = 1 + k, N + 1 + k, 2 * N + 2 + k, 3 * N + 2 + k
+    gxa, gxb, gya, gyb = fxa + w, fxb + w, fya + w, fyb + w
+    zero = np.full(N, 2 * w)
+    j = np.arange(1.0, N + 1)
+    one = np.ones(N)
+    columns = [  # blocks of the feature row: cos j*phi, cos j*psi, sin j*phi, sin j*psi
+        ((fxa, gxa, fxb, gxb), (one, -one, one, -one)),  # rx
+        ((fya, gya, fyb, gyb), (one, -one, one, -one)),  # ry
+        ((fxb, zero, fxa, zero), (j, one, -j, one)),  # f'x
+        ((fyb, zero, fya, zero), (j, one, -j, one)),  # f'y
+        ((zero, gxb, zero, gxa), (one, j, one, -j)),  # g'x
+        ((zero, gyb, zero, gya), (one, j, one, -j)),  # g'y
+    ]
+    index = np.stack([np.concatenate(i) for i, _ in columns], axis=1)
+    factor = np.stack([np.concatenate(m) for _, m in columns], axis=1)
+    index.setflags(write=False)  # shared by every caller through the cache
+    factor.setflags(write=False)
+    return index, factor
 
 
 def _pair_matrix(f, g):
     """Rows and offset of the linear map from the feature row
     [cos j*phi, cos j*psi, sin j*phi, sin j*psi] (j = 1..N) to
     (rx, ry, f'x, f'y, g'x, g'y), where (rx, ry) = f(phi) - g(psi), for each
-    pair p of the stacked coefficient arrays f and g (see _stack): rows[p]
+    pair p of the coefficient arrays f and g (CurveRows.arrays): rows[p]
     has shape (4N, 6) and offset[p] shape (6,)."""
-    fxa, fxb, fya, fyb = f
-    gxa, gxb, gya, gyb = g
-    j = np.arange(1.0, fxb.shape[1] + 1)
-    z = np.zeros_like(fxb)
-    rows = np.stack([
-        np.concatenate((fxa[:, 1:], -gxa[:, 1:], fxb, -gxb), axis=1),
-        np.concatenate((fya[:, 1:], -gya[:, 1:], fyb, -gyb), axis=1),
-        np.concatenate((j * fxb, z, -j * fxa[:, 1:], z), axis=1),
-        np.concatenate((j * fyb, z, -j * fya[:, 1:], z), axis=1),
-        np.concatenate((z, j * gxb, z, -j * gxa[:, 1:]), axis=1),
-        np.concatenate((z, j * gyb, z, -j * gya[:, 1:]), axis=1),
-    ], axis=2)
+    fxa, _, fya, _ = f
+    gxa, _, gya, _ = g
+    index, factor = _pair_layout(fxa.shape[1] - 1)
+    rows = np.concatenate(f + g + (np.zeros((fxa.shape[0], 1)),), axis=1)[:, index] * factor
     offset = np.zeros((fxa.shape[0], 6))
     offset[:, 0] = fxa[:, 0] - gxa[:, 0]
     offset[:, 1] = fya[:, 0] - gya[:, 0]
@@ -213,16 +231,16 @@ def newton_refine(f: TrigCurve, g: TrigCurve, phi0: float, psi0: float,
     if f.degree != g.degree:
         raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     cfg = cfg or CountingConfig()
-    rows, offset = _pair_matrix(_stack([f]), _stack([g]))
+    rows, offset = _pair_matrix(CurveRows.stack([f]).arrays, CurveRows.stack([g]).arrays)
     phi, psi, det, ok = _newton_batch(rows, offset, [float(phi0)], [float(psi0)],
                                       _res_tol(f.degree, cfg), cfg)
     return (float(phi[0]), float(psi[0]), float(det[0])) if ok[0] else None
 
 
 def _closed_polylines(stack, m: np.ndarray):
-    """Closed polylines of stacked curves (see _stack), concatenated: curve k
-    gets m[k] + 1 vertices at the angles 2*pi*i/m[k], the last an exact copy
-    of the first."""
+    """Closed polylines of the curves with coefficient arrays stack (as
+    CurveRows.arrays), concatenated: curve k gets m[k] + 1 vertices at the
+    angles 2*pi*i/m[k], the last an exact copy of the first."""
     ends = np.cumsum(m + 1)
     i = np.arange(ends[-1]) - np.repeat(ends - (m + 1), m + 1)
     phis = i * np.repeat(TWO_PI / m, m + 1)
@@ -325,21 +343,21 @@ def _first_of_clusters(phi: np.ndarray, psi: np.ndarray, group: np.ndarray,
     return keep
 
 
-def _count_block(fs, gs, mf, mg, cfg: CountingConfig) -> list[IntersectionResult]:
-    """Results for the pairs (fs[p], gs[p]) of one block, none of them with a
-    constant curve, counted on polylines of mf[p] and mg[p] segments."""
-    n = len(fs)
-    stack = _stack(fs + gs)
-    f = tuple(a[:n] for a in stack)
-    g = tuple(a[n:] for a in stack)
+def _count_block(f: CurveRows, g: CurveRows, ks: np.ndarray, mf, mg,
+                 cfg: CountingConfig) -> list[IntersectionResult]:
+    """Results for the pairs (f[k], g[k]), k in ks, of one block, none of
+    them with a constant curve, counted on polylines of mf and mg segments."""
+    n = ks.size
+    take = slice(None) if n == len(f) else ks  # ks is increasing: all rows, in order
+    stack = tuple(np.concatenate((a[take], b[take])) for a, b in zip(f.arrays, g.arrays))
     m = np.array(mf + mg)
     xs, ys = _closed_polylines(stack, m)
     p, i, j, t, s, touch = _polyline_crossings(xs, ys, m)
 
-    rows, offset = _pair_matrix(f, g)
+    rows, offset = _pair_matrix(tuple(a[:n] for a in stack), tuple(a[n:] for a in stack))
     step = TWO_PI / m
     phi, psi, det, ok = _newton_batch(rows[p], offset[p], (i + t) * step[p], (j + s) * step[n + p],
-                                      _res_tol(fs[0].degree, cfg), cfg)
+                                      _res_tol(f.degree, cfg), cfg)
     failed = np.bincount(p[~ok], minlength=n) > 0
     kept = np.flatnonzero(ok)
     kept = kept[_first_of_clusters(phi[kept], psi[kept], p[kept], cfg.dedupe_radius)]
@@ -356,55 +374,51 @@ def _count_block(fs, gs, mf, mg, cfg: CountingConfig) -> list[IntersectionResult
                                     degenerate.tolist())]
 
 
-def count_intersections_many(pairs, cfg: CountingConfig | None = None) -> list[IntersectionResult]:
+def count_intersections_many(f: CurveRows, g: CurveRows,
+                             cfg: CountingConfig | None = None) -> list[IntersectionResult]:
     """Count the solutions of f(phi) = g(psi) on the parameter torus for each
-    pair (f, g); all pairs must share one degree.
+    pair of rows (f[k], g[k]).
 
     Pairs are counted in blocks of at most _BLOCK_VERTICES polyline vertices
     (a larger pair makes a block alone), each stage running once per block,
     and each pair's result is bit-identical to counting it alone.
     """
     cfg = cfg or CountingConfig()
-    pairs = list(pairs)
-    for f, g in pairs:
-        if f.degree != g.degree:
-            raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
-    degrees = sorted({f.degree for f, _ in pairs})
-    if len(degrees) > 1:
-        raise ValueError(f"pairs of different degrees in one call: {degrees}")
-    results: list = [None] * len(pairs)
-    if not pairs:
+    if f.degree != g.degree:
+        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
+    if len(f) != len(g):
+        raise ValueError(f"row count mismatch: {len(f)} f rows vs {len(g)} g rows")
+    results: list = [None] * len(f)
+    if not results:
         return results
-    seg_target = cfg.resolved_seg_target(degrees[0])
+    seg_target = cfg.resolved_seg_target(f.degree)
     live = []
-    for k, (f, g) in enumerate(pairs):
-        lf = lipschitz_bound(f)
-        lg = lipschitz_bound(g)
+    for k, (lf, lg) in enumerate(zip(lipschitz_bounds(f), lipschitz_bounds(g))):
         if lf == 0.0 and lg == 0.0:
             # two constant maps: distinct points never meet, coincident ones overlap
-            coincident = f.xa[0] == g.xa[0] and f.ya[0] == g.ya[0]
+            coincident = f.xa[k, 0] == g.xa[k, 0] and f.ya[k, 0] == g.ya[k, 0]
             results[k] = IntersectionResult(0, [], math.inf, bool(coincident))
         elif lf == 0.0 or lg == 0.0:
             # point versus curve: meets only on a measure-zero set; report no
             # crossings (a transversal crossing needs two moving branches)
             results[k] = IntersectionResult(0, [], math.inf, False)
         else:
-            live.append((k, f, g, max(_MIN_VERTICES, math.ceil(TWO_PI * lf / seg_target)),
+            live.append((k, max(_MIN_VERTICES, math.ceil(TWO_PI * lf / seg_target)),
                          max(_MIN_VERTICES, math.ceil(TWO_PI * lg / seg_target))))
     for block in _blocks(live):
-        ks, fs, gs, mf, mg = zip(*block)
-        for k, res in zip(ks, _count_block(fs, gs, mf, mg, cfg)):
+        ks, mf, mg = zip(*block)
+        for k, res in zip(ks, _count_block(f, g, np.array(ks), mf, mg, cfg)):
             results[k] = res
     return results
 
 
 def _blocks(live):
-    """Runs of consecutive (k, f, g, mf, mg) entries with at most
-    _BLOCK_VERTICES polyline vertices each; a larger pair makes a run alone."""
+    """Runs of consecutive (k, mf, mg) entries with at most _BLOCK_VERTICES
+    polyline vertices each; a larger pair makes a run alone."""
     block: list = []
     vertices = 0
     for entry in live:
-        size = entry[3] + entry[4] + 2
+        size = entry[1] + entry[2] + 2
         if block and vertices + size > _BLOCK_VERTICES:
             yield block
             block, vertices = [], 0
@@ -417,14 +431,14 @@ def _blocks(live):
 def count_intersections(f: TrigCurve, g: TrigCurve,
                         cfg: CountingConfig | None = None) -> IntersectionResult:
     """Count the solutions of f(phi) = g(psi) on the parameter torus."""
-    return count_intersections_many([(f, g)], cfg)[0]
+    return count_intersections_many(CurveRows.stack([f]), CurveRows.stack([g]), cfg)[0]
 
 
 def _polyline_cross_count(f: TrigCurve, g: TrigCurve, m: int) -> int:
     """Strict crossing count of the two closed m-vertex polylines, testing
     every pair of overlapping segment boxes (no sweep), in row blocks."""
-    fx, fy = _closed_polylines(_stack([f]), np.array([m]))
-    gx, gy = _closed_polylines(_stack([g]), np.array([m]))
+    fx, fy = _closed_polylines(CurveRows.stack([f]).arrays, np.array([m]))
+    gx, gy = _closed_polylines(CurveRows.stack([g]).arrays, np.array([m]))
     fx0, fx1 = np.minimum(fx[:-1], fx[1:]), np.maximum(fx[:-1], fx[1:])
     fy0, fy1 = np.minimum(fy[:-1], fy[1:]), np.maximum(fy[:-1], fy[1:])
     gx0, gx1 = np.minimum(gx[:-1], gx[1:]), np.maximum(gx[:-1], gx[1:])

@@ -17,10 +17,10 @@ import numpy as np
 
 from .exact import MeanValue, check_degree, check_order, mean_intersections_exact
 from .intersect import CountingConfig, count_intersections_many
-from .sampling import SeedSpec, sample_max_norm_weighted_pair, sample_pair
+from .sampling import sample_max_norm_weighted_pairs
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# sample indices drawn and then counted by one count_intersections_many call
+# sample indices drawn by one sampler call and counted by one counter call
 _BLOCK_PAIRS = 64
 
 __all__ = [
@@ -28,7 +28,12 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "corollary2_check",
+    "AllSamplesDiscarded",
 ]
+
+
+class AllSamplesDiscarded(RuntimeError):
+    """Every sample of a run was discarded as degenerate, so it has no estimate."""
 
 
 def parse_distribution(spec: str) -> tuple[str, float]:
@@ -83,19 +88,14 @@ class ExperimentResult:
 
 
 def _sample_counts(cfg: ExperimentConfig, lo: int, hi: int):
-    kind, k = parse_distribution(cfg.distribution)
+    # the uniform distribution is the max-norm weight with exponent 0
+    _, k = parse_distribution(cfg.distribution)
     counts = []
     degen = []
     for start in range(lo, hi, _BLOCK_PAIRS):
-        pairs = []
-        for index in range(start, min(start + _BLOCK_PAIRS, hi)):
-            seed = SeedSpec(cfg.master_seed, index)
-            if kind == "uniform":
-                pair = sample_pair(cfg.N, cfg.r, seed)
-            else:
-                pair = sample_max_norm_weighted_pair(cfg.N, cfg.r, k, seed)
-            pairs.append((pair.f, pair.g))
-        for res in count_intersections_many(pairs, cfg.counting):
+        f, g = sample_max_norm_weighted_pairs(cfg.N, cfg.r, k, cfg.master_seed,
+                                              range(start, min(start + _BLOCK_PAIRS, hi)))
+        for res in count_intersections_many(f, g, cfg.counting):
             counts.append(res.count)
             degen.append(res.degenerate)
     return lo, counts, degen
@@ -132,7 +132,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     discards = int(degen.sum())
     n_used = kept.size
     if n_used == 0:
-        raise RuntimeError("every sample was discarded as degenerate")
+        raise AllSamplesDiscarded("every sample was discarded as degenerate")
     s1 = int(kept.sum())
     s2 = int(np.dot(kept, kept))
     mean = s1 / n_used

@@ -136,6 +136,15 @@ class TestSimulate:
                              "--distribution", "cauchy")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_every_sample_discarded(self, capsys, workers):
+        # a Newton tolerance no residual can meet flags every pair degenerate
+        code, out, err = run_cli(capsys, "simulate", "--N", "1", "--samples", "5",
+                                 "--newton-tol", "1e-300", "--seed", "1", "--workers", workers)
+        assert code == EXIT_TOLERANCE
+        assert out == ""
+        assert err == "error: every sample was discarded as degenerate (N=1, 5 samples)\n"
+
 
 class TestVerify:
     def test_passes_and_reports(self, capsys, tmp_path):

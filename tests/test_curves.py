@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvecross.curves import (
+    CurveRows,
     SchemaError,
     TrigCurve,
     curve_from_json,
@@ -17,6 +18,7 @@ from curvecross.curves import (
     evaluate_rows,
     inner_product,
     lipschitz_bound,
+    lipschitz_bounds,
     load_curve,
     norm,
     point_radius_bound,
@@ -170,6 +172,25 @@ class TestLipschitz:
         for phi in np.linspace(0.0, TWO_PI, 500, endpoint=False):
             d = derivative(c, phi)
             assert math.hypot(d.x, d.y) <= bound * (1 + 1e-12) + 1e-12
+
+
+class TestCurveRows:
+    """Row-block values against the one-curve functions, bit for bit."""
+
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_norms_and_bounds_per_row(self, N, r):
+        curves = [sample_unit_ball_curve(N, r, SeedSpec(72, i)) for i in range(40)]
+        curves.append(TrigCurve.zero(N))
+        rows = CurveRows.stack(curves)
+        assert rows.norms(r).tolist() == [norm(c, r) for c in curves]
+        assert lipschitz_bounds(rows) == [lipschitz_bound(c) for c in curves]
+
+    def test_stack_needs_one_degree(self):
+        with pytest.raises(ValueError, match="different degrees"):
+            CurveRows.stack([unit_circle(), TrigCurve.zero(3)])
+        with pytest.raises(ValueError, match="different degrees"):
+            CurveRows.stack([])
 
 
 class TestPointRadiusBound:

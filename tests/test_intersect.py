@@ -8,21 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvecross.curves import TrigCurve, evaluate, point_radius_bound
+from curvecross.curves import CurveRows, TrigCurve, evaluate, point_radius_bound
 from curvecross.intersect import (
     CountingConfig,
     _first_of_clusters,
     _newton_batch,
     _pair_matrix,
     _polyline_crossings,
-    _stack,
     brute_force_count,
     count_intersections,
     count_intersections_many,
     newton_refine,
     segment_proper_cross,
 )
-from curvecross.sampling import SeedSpec, sample_pair
+from curvecross.sampling import SeedSpec, sample_pair, sample_pairs
 
 from _support import circle_at, rotate_curve, unit_circle
 
@@ -45,12 +44,26 @@ def tangent_circle() -> TrigCurve:
 
 def seed_rows(f, g, seeds: int):
     """Per-seed Newton map rows and offsets of one pair, for seeds seeds."""
-    rows, offset = _pair_matrix(_stack([f]), _stack([g]))
+    rows, offset = _pair_matrix(CurveRows.stack([f]).arrays, CurveRows.stack([g]).arrays)
     return np.repeat(rows, seeds, axis=0), np.repeat(offset, seeds, axis=0)
 
 
 def result_key(res):
     return (res.count, res.degenerate, res.solutions, res.min_abs_det)
+
+
+def rows_of(pairs):
+    """The f rows and the g rows of a non-empty list of (f, g) pairs."""
+    return CurveRows.stack([f for f, _ in pairs]), CurveRows.stack([g for _, g in pairs])
+
+
+def no_rows(N):
+    return CurveRows(N, np.empty((0, N + 1)), np.empty((0, N)), np.empty((0, N + 1)),
+                     np.empty((0, N)))
+
+
+def first_rows(rows, n):
+    return CurveRows(rows.degree, *(a[:n] for a in rows.arrays))
 
 
 class TestSegmentProperCross:
@@ -214,13 +227,53 @@ class TestDegreeMismatch:
         with pytest.raises(ValueError, match="degree mismatch"):
             count_intersections(unit_circle(), TrigCurve.zero(2))
         with pytest.raises(ValueError, match="degree mismatch"):
-            count_intersections_many([(unit_circle(), shifted_circle()),
-                                      (unit_circle(), TrigCurve.zero(2))])
+            count_intersections_many(CurveRows.stack([unit_circle(), shifted_circle()]),
+                                     CurveRows.stack([TrigCurve.zero(2), TrigCurve.zero(2)]))
 
     def test_mixed_degrees_in_one_call_rejected(self):
+        # one block of rows holds one degree
         with pytest.raises(ValueError, match="different degrees"):
-            count_intersections_many([(unit_circle(), shifted_circle()),
-                                      (TrigCurve.zero(2), TrigCurve.zero(2))])
+            CurveRows.stack([unit_circle(), TrigCurve.zero(2)])
+
+
+class TestCurveRows:
+    """Validation of a block of rows, once for the whole block."""
+
+    def test_wrong_shape(self):
+        f = CurveRows.stack([unit_circle(), shifted_circle()])
+        with pytest.raises(ValueError, match="xb must have shape"):
+            CurveRows(1, f.xa, f.xb[:1], f.ya, f.yb)  # one row short
+        with pytest.raises(ValueError, match="ya must have shape"):
+            CurveRows(1, f.xa, f.xb, f.ya[:, :1], f.yb)  # one coefficient short
+        with pytest.raises(ValueError, match="xa must have shape"):
+            CurveRows(1, f.xa[0], f.xb[0], f.ya[0], f.yb[0])  # one curve, not rows
+
+    def test_non_finite_entry(self):
+        f = CurveRows.stack([unit_circle(), shifted_circle()])
+        yb = f.yb.copy()
+        yb[1, 0] = math.nan
+        with pytest.raises(ValueError, match="yb contains non-finite"):
+            CurveRows(1, f.xa, f.xb, f.ya, yb)
+        xa = f.xa.copy()
+        xa[0, 0] = math.inf
+        with pytest.raises(ValueError, match="xa contains non-finite"):
+            CurveRows(1, xa, f.xb, f.ya, f.yb)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+            count_intersections_many(CurveRows.stack([unit_circle()]),
+                                     CurveRows.stack([TrigCurve.zero(2)]))
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="row count mismatch: 2 f rows vs 1 g rows"):
+            count_intersections_many(CurveRows.stack([unit_circle(), unit_circle()]),
+                                     CurveRows.stack([shifted_circle()]))
+
+    def test_rows_round_trip(self):
+        curves = [unit_circle(), shifted_circle(), far_small_circle()]
+        rows = CurveRows.stack(curves)
+        assert len(rows) == 3
+        assert [rows.curve(k) for k in range(3)] == curves
 
 
 def degree_one_fixtures():
@@ -243,8 +296,8 @@ class TestBlocks:
 
     @staticmethod
     def _check(pairs):
-        many = count_intersections_many(pairs)
-        reversed_ = count_intersections_many(pairs[::-1])[::-1]
+        many = count_intersections_many(*rows_of(pairs))
+        reversed_ = count_intersections_many(*rows_of(pairs[::-1]))[::-1]
         alone = [count_intersections(f, g) for f, g in pairs]
         assert len(many) == len(pairs)
         for a, b, c in zip(many, reversed_, alone):
@@ -270,16 +323,16 @@ class TestBlocks:
         assert [r.degenerate for r in self._check(constants)] == [True, False]
 
     def test_empty(self):
-        assert count_intersections_many([]) == []
+        assert count_intersections_many(no_rows(1), no_rows(1)) == []
 
     def test_memory_bounded_by_block(self):
         # the block constant, not the number of pairs in the call, sets the peak
-        pairs = [(p.f, p.g) for p in (sample_pair(8, 0, SeedSpec(608, i)) for i in range(256))]
+        f, g = sample_pairs(8, 0, 608, range(256))
 
         def peak(n):
             tracemalloc.start()
             try:
-                count_intersections_many(pairs[:n])
+                count_intersections_many(first_rows(f, n), first_rows(g, n))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -558,7 +611,8 @@ class TestGoldenCounts:
             pairs = [sample_pair(N, r, SeedSpec(golden["master_seed"], i))
                      for i in range(golden["pairs_per_cell"])]
             alone = [count_intersections(p.f, p.g) for p in pairs]
-            together = count_intersections_many([(p.f, p.g) for p in pairs])
+            together = count_intersections_many(
+                *sample_pairs(N, r, golden["master_seed"], range(golden["pairs_per_cell"])))
             for results in (alone, together):
                 got = " ".join(f"{res.count}{'*' if res.degenerate else ''}" for res in results)
                 assert got == expected, cell

@@ -9,11 +9,13 @@ from curvecross.exact import tau
 from curvecross.sampling import (
     CurvePair,
     SeedSpec,
-    _ball_point,
-    _iso_to_curve,
+    _iso_rows,
+    _stream_states,
     fiber_candidates,
     sample_max_norm_weighted_pair,
+    sample_max_norm_weighted_pairs,
     sample_pair,
+    sample_pairs,
     sample_unit_ball_curve,
 )
 
@@ -22,7 +24,7 @@ from _support import iso_coordinates, unit_circle
 
 def iso_to_coeffs_loop(N, r, u):
     """The coefficient map as a loop over frequencies: the reference for
-    the cached gather in sampling._iso_to_curve."""
+    the cached gather in sampling._iso_rows."""
     xa = np.empty(N + 1)
     xb = np.empty(N)
     ya = np.empty(N + 1)
@@ -39,17 +41,47 @@ def iso_to_coeffs_loop(N, r, u):
     return xa, xb, ya, yb
 
 
+def ball_point_loop(dim, radius, rng):
+    """Uniform point in the dim-ball, one stream at a time, as the samplers
+    drew it before they drew blocks: Gaussian direction, U^(1/dim) radius."""
+    z = rng.standard_normal(dim)
+    u = rng.random()
+    nz = float(np.linalg.norm(z))
+    while nz == 0.0:
+        z = rng.standard_normal(dim)
+        nz = float(np.linalg.norm(z))
+    return z * (radius * u ** (1.0 / dim) / nz)
+
+
+def norm_loop(c, r):
+    """The order-r norm of one curve as a scalar loop over frequencies."""
+    total = 2.0 * (c.xa[0] * c.xa[0] + c.ya[0] * c.ya[0])
+    for j in range(1, c.degree + 1):
+        w = float(tau(j, r))
+        total += w * (c.xa[j] * c.xa[j] + c.xb[j - 1] * c.xb[j - 1]
+                      + c.ya[j] * c.ya[j] + c.yb[j - 1] * c.yb[j - 1])
+    return math.sqrt(max(0.0, float(total)))
+
+
 def loop_pair(N, r, k, seed):
-    """sample_max_norm_weighted_pair (sample_pair at k = 0) on the loop map."""
+    """sample_max_norm_weighted_pair (sample_pair at k = 0) one index at a
+    time, each stream built by numpy's SeedSequence."""
     attempt = 0
     while True:
-        f, g = (TrigCurve(N, *iso_to_coeffs_loop(N, r, _ball_point(4 * N + 2, 1.0,
-                                                                   seed.rng(attempt, side))))
+        f, g = (TrigCurve(N, *iso_to_coeffs_loop(N, r, ball_point_loop(4 * N + 2, 1.0,
+                                                                       seed.rng(attempt, side))))
                 for side in (0, 1))
-        p = max(norm(f, r), norm(g, r)) ** k
+        p = max(norm_loop(f, r), norm_loop(g, r)) ** k
         if p >= 1.0 or seed.rng(attempt, 2).random() < p:
             return f, g
         attempt += 1
+
+
+def assert_rows_equal(rows, curves):
+    assert len(rows) == len(curves)
+    for name in ("xa", "xb", "ya", "yb"):
+        want = np.array([getattr(c, name) for c in curves]).reshape(getattr(rows, name).shape)
+        assert np.array_equal(getattr(rows, name), want)
 
 
 class TestIsoMap:
@@ -65,6 +97,75 @@ class TestIsoMap:
                 for curve, ref in zip((got.f, got.g), want):
                     for name in ("xa", "xb", "ya", "yb"):
                         assert np.array_equal(getattr(curve, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 8])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 3.0, 4.0])
+    def test_block_matches_loop(self, N, r, k):
+        # unsorted, with repeats, and across the 2**32 split of spawn-key words
+        indices = [5, 3, 3, 0, 2**32 + 1, 17, 2**32 - 1, 5, 40, 2**64 - 1, 1]
+        master = 2**40 + 9
+        pairs = [loop_pair(N, r, k, SeedSpec(master, i)) for i in indices]
+        for got in (sample_max_norm_weighted_pairs(N, r, k, master, indices),
+                    sample_max_norm_weighted_pairs(N, r, k, master, np.array(indices, dtype=np.uint64))):
+            for rows, side in zip(got, (0, 1)):
+                assert_rows_equal(rows, [pair[side] for pair in pairs])
+        if k == 0.0:
+            for rows, side in zip(sample_pairs(N, r, master, indices), (0, 1)):
+                assert_rows_equal(rows, [pair[side] for pair in pairs])
+
+    @pytest.mark.parametrize("N", [0, 2])
+    def test_empty_block(self, N):
+        for f, g in (sample_pairs(N, 1, 3, []), sample_max_norm_weighted_pairs(N, 1, 4.0, 3, [])):
+            assert f.degree == g.degree == N
+            assert len(f) == len(g) == 0
+            assert f.xa.shape == (0, N + 1) and f.yb.shape == (0, N)
+
+    def test_rejects_bad_indices(self):
+        with pytest.raises(ValueError, match="stream_index"):
+            sample_pairs(1, 0, 0, [0, -1])
+        with pytest.raises(ValueError, match="stream_index"):
+            sample_pairs(1, 0, 0, [2**64])
+        with pytest.raises(ValueError, match="master_seed"):
+            sample_pairs(1, 0, -1, [0])
+
+
+class TestStreamStates:
+    """The block derivation of PCG64 states against numpy's own seeding."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @staticmethod
+    def _check(master, keys):
+        got = _stream_states(master, np.array(keys, dtype=np.uint64).reshape(len(keys), -1))
+        assert len(got) == len(keys)
+        for key, (state, inc) in zip(keys, got):
+            spec = SeedSpec(master, key[0])
+            want = np.random.PCG64(spec.sequence(*key[1:])).state["state"]
+            assert want == {"state": state, "inc": inc}, (master, key)
+
+    @pytest.mark.parametrize("master", EDGES)
+    def test_matches_numpy(self, master):
+        keys = [(i, a, s) for i in self.EDGES for a in (0, 3) for s in (0, 1, 2)]
+        self._check(master, keys)
+
+    @pytest.mark.parametrize("master", [0, 2**32 + 5])
+    def test_mixed_word_counts(self, master):
+        # one-word and two-word indices in one block, in both orders, and a
+        # two-word attempt
+        keys = [(7, 0, 0), (2**33 + 7, 0, 0), (9, 2**32, 1), (2**32, 1, 2), (0, 0, 1)]
+        self._check(master, keys)
+        self._check(master, keys[::-1])
+
+    def test_index_only_key(self):
+        self._check(12345, [(i,) for i in self.EDGES])
+
+    def test_draws_match_numpy_streams(self):
+        # sample_unit_ball_curve draws from stream (index,), built by SeedSpec.rng
+        for i in (0, 1, 2**32, 2**64 - 1):
+            seed = SeedSpec(99, i)
+            want = TrigCurve(2, *iso_to_coeffs_loop(2, 1, ball_point_loop(10, 1.0, seed.rng())))
+            assert sample_unit_ball_curve(2, 1, seed) == want
 
 
 class TestSeedSpec:
@@ -197,17 +298,17 @@ class TestFiberPair:
         half = 4 * N + 2
         z, inside = fiber_candidates(N, SeedSpec(55).rng(), 2000)
         assert inside.sum() >= 100
-        for row in z[inside]:
-            f = _iso_to_curve(N, 0, row[:half])
-            g = _iso_to_curve(N, 0, row[half:])
+        fs = _iso_rows(N, 0, z[inside, :half])
+        gs = _iso_rows(N, 0, z[inside, half:])
+        for f, g in ((fs.curve(k), gs.curve(k)) for k in range(len(fs))):
             pf = evaluate(f, 0.0)
             pg = evaluate(g, 0.0)
             assert math.hypot(pf.x - pg.x, pf.y - pg.y) <= 1e-12
             assert norm(f, 0) <= 1.0 + 1e-12
             assert norm(g, 0) <= 1.0 + 1e-12
-        for row in z[~inside]:
-            assert max(norm(_iso_to_curve(N, 0, row[:half]), 0),
-                       norm(_iso_to_curve(N, 0, row[half:]), 0)) > 1.0 - 1e-12
+        norms = np.maximum(_iso_rows(N, 0, z[~inside, :half]).norms(0),
+                           _iso_rows(N, 0, z[~inside, half:]).norms(0))
+        assert np.all(norms > 1.0 - 1e-12)
 
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValueError):
