@@ -42,8 +42,8 @@ def iso_to_coeffs_loop(N, r, u):
 
 
 def ball_point_loop(dim, radius, rng):
-    """Uniform point in the dim-ball, one stream at a time, as the samplers
-    drew it before they drew blocks: Gaussian direction, U^(1/dim) radius."""
+    """Uniform point in the dim-ball from one stream alone (Gaussian
+    direction, U^(1/dim) radius): the reference for the block samplers."""
     z = rng.standard_normal(dim)
     u = rng.random()
     nz = float(np.linalg.norm(z))
