@@ -6,9 +6,11 @@ on the held-out seed 7919; then 5 pairs of traced runs on seed 1. Each
 checkout runs its own copy of the benchmark, so give both the same
 ``benchmarks/`` tree. Reports both git SHAs, the machine notes, and, per
 workload and metric, each side's runs, median and quartiles and how many
-pairs the change won. Last, 3 alternating pairs of processes time per-pair
-sampling and one-pair counting in each checkout's package (``MICRO``); each
-timing is the fastest over the processes.
+pairs the change won. Then 3 alternating pairs of processes time per-pair
+sampling, one-pair counting, block counting per cell at N 4 and 8, and the
+polyline oracle at N 1..3 in each checkout's package (``MICRO``); each
+timing is the fastest over the processes. Last, each checkout's Tier-1
+test suite runs once, parent first, and its wall time is recorded.
 
     python scripts/bench_pairs.py --parent ../parent --change . --out BENCH_2.json
 """
@@ -21,6 +23,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("mc_lowdeg", "mc_highdeg", "crosscheck")
@@ -34,13 +37,25 @@ TRACED = ("intersect.count_self_s", "intersect.count_busy_s", "curves.eval_busy_
 MICRO_PAIRS = 3
 
 # Microseconds per pair, printed as one JSON line: each sampler the package
-# has, on 64 indices of seed 1 at r=0 (timeit, fastest of 5), and
-# count_intersections on 300 pre-sampled r=0 pairs (fastest of 7 passes).
+# has, on 64 indices of seed 1 at r=0 (timeit, fastest of 5);
+# count_intersections on 300 pre-sampled r=0 pairs (fastest of 7 passes);
+# count_intersections_many on 4 blocks of 64 pre-sampled pairs of seed 1 per
+# cell at N 4 and 8, r 0 and 1 (fastest of 5 passes), the per-cell figure the
+# traced report lacks for the block counter; brute_force_count on 8
+# pre-sampled r=0 pairs at N 1..3 (fastest of 3 passes).
 MICRO = r"""
 import json, time, timeit
 import curvecross.sampling as S
+import curvecross.intersect as I
 from curvecross.intersect import count_intersections
 out = {}
+def fastest(fn, passes):
+    best = float("inf")
+    for _ in range(passes):
+        t = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t)
+    return best
 def per_pair(fn, number):
     return min(timeit.repeat(fn, number=number, repeat=5)) / number / 64 * 1e6
 for N in (1, 2, 8):
@@ -54,13 +69,18 @@ for N in (1, 2, 8):
             lambda: S.sample_max_norm_weighted_pairs(N, 0, 4.0, 1, range(64)), 10)
 for N in (1, 2):
     pairs = [S.sample_pair(N, 0, S.SeedSpec(1, i)) for i in range(300)]
-    best = float("inf")
-    for _ in range(7):
-        t = time.perf_counter()
-        for p in pairs:
-            count_intersections(p.f, p.g)
-        best = min(best, time.perf_counter() - t)
+    best = fastest(lambda: [count_intersections(p.f, p.g) for p in pairs], 7)
     out[f"count_intersections_one_pair_N{N}"] = best / 300 * 1e6
+if hasattr(I, "count_intersections_many") and hasattr(S, "sample_pairs"):
+    for N in (4, 8):
+        for r in (0, 1):
+            blocks = [S.sample_pairs(N, r, 1, range(k, k + 64)) for k in range(0, 256, 64)]
+            best = fastest(lambda: [I.count_intersections_many(f, g) for f, g in blocks], 5)
+            out[f"count_intersections_many_block64_N{N}r{r}"] = best / 256 * 1e6
+for N in (1, 2, 3):
+    pairs = [S.sample_pair(N, 0, S.SeedSpec(1, i)) for i in range(8)]
+    best = fastest(lambda: [I.brute_force_count(p.f, p.g) for p in pairs], 3)
+    out[f"brute_force_count_N{N}"] = best / 8 * 1e6
 print(json.dumps(out))
 """
 
@@ -97,6 +117,19 @@ def micro_pairs(parent: Path, change: Path) -> dict:
         for side in order:
             runs[side].append(micro(parent if side == "parent" else change))
     return {side: {name: min(r[name] for r in rs) for name in rs[0]} for side, rs in runs.items()}
+
+
+def tier1(checkout: Path) -> dict:
+    """One run of the checkout's Tier-1 test suite: its wall time and the
+    last line of pytest's summary."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    began = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                          "-p", "no:cacheprovider"],
+                         cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    lines = out.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - began, "summary": lines[-1] if lines else "",
+            "returncode": out.returncode}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -157,9 +190,15 @@ def notes(machine: dict) -> list:
         "Stats are the median and the inclusive quartiles; change_wins counts pairs where the "
         "change was better in the metric's declared direction, ties counting for neither.",
         f"micro_us_per_pair: {MICRO_PAIRS} alternating pairs of processes, each timing per-pair "
-        "sampling at N 1, 2 and 8 (r=0, 64 indices of seed 1, timeit fastest of 5) and "
+        "sampling at N 1, 2 and 8 (r=0, 64 indices of seed 1, timeit fastest of 5), "
         "count_intersections on one pair at N 1 and 2 (300 pre-sampled r=0 pairs, fastest of 7 "
-        "passes); the value is the fastest over the processes.",
+        "passes), count_intersections_many per cell at N 4 and 8, r 0 and 1 (4 blocks of 64 "
+        "pre-sampled pairs of seed 1, fastest of 5 passes) and brute_force_count at N 1..3 "
+        "(8 pre-sampled r=0 pairs, fastest of 3 passes); the value is the fastest over the "
+        "processes.",
+        "tier1: one run of each checkout's Tier-1 suite ('python -m pytest -q "
+        "--continue-on-collection-errors' with the checkout's src on PYTHONPATH), parent first; "
+        "one run per side, with nothing else alternating against it.",
     ]
 
 
@@ -200,6 +239,9 @@ def main(argv=None) -> int:
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # kept if a later workload fails
     doc["micro_us_per_pair"] = micro_pairs(args.parent, args.change)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    doc["tier1"] = {side: tier1(path) for side, path in (("parent", args.parent),
+                                                          ("change", args.change))}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

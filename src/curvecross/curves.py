@@ -18,8 +18,6 @@ import numpy as np
 
 from .exact import check_degree, check_order, mu, tau
 
-TWO_PI = 2.0 * math.pi
-
 __all__ = [
     "PlanePoint",
     "TrigCurve",
@@ -28,6 +26,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "evaluate_rows",
+    "horner",
     "derivative",
     "inner_product",
     "norm",
@@ -158,30 +157,45 @@ class CurveRows:
         return np.sqrt(np.maximum(0.0, _inner_rows(self.arrays, self.arrays, check_order(r))))
 
 
+def horner(coefs, z) -> np.ndarray:
+    """sum_{j=1..n} coefs[j-1] * z**j by Horner's rule from a zero
+    accumulator, element by element: each coefs[j-1] is a scalar or an array
+    broadcast to z's shape. With z = e^{i*theta} and coefs[j-1] = a_j - i*b_j,
+    the real part is sum_j a_j cos(j*theta) + b_j sin(j*theta), and -Im of
+    the sum with coefs j*(a_j - i*b_j) is its derivative in theta.
+
+    The products are not taken in place: numpy rounds an in-place complex
+    product of one element differently (it takes it for a reduction), which
+    would make a value depend on how many angles share the call."""
+    acc = np.zeros(np.shape(z), dtype=complex)
+    for c in reversed(coefs):
+        acc = (acc + c) * z
+    return acc
+
+
 def evaluate_rows(xa, xb, ya, yb, phis, counts) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evaluation of stacked curves; returns (xs, ys) shaped like phis.
 
     Row k of the cosine coefficient arrays xa, ya (shape (K, N+1), constant
     term first) and of the sine arrays xb, yb (shape (K, N)) is one curve.
     The angles, in flat order, run through the rows: the first counts[0] are
-    evaluated on row 0, the next counts[1] on row 1, and so on. Every value
-    is computed by the same operations whatever the other rows hold.
+    evaluated on row 0, the next counts[1] on row 1, and so on. Each
+    coordinate is its constant term plus Re of a horner sum in e^{i*phi},
+    the constant added last; every value is computed by the same operations
+    whatever the other rows hold.
     """
-    t = np.asarray(phis, dtype=float) % TWO_PI
+    t = np.asarray(phis, dtype=float)
+    z = np.exp(1j * t)
 
-    def per_angle(c, j):
-        # coefficient j of each angle's curve; one row broadcasts as a scalar
+    def per_angle(c):
+        # column j of c as one value per angle; one row broadcasts as scalars
         if c.shape[0] == 1:
-            return c[0, j]
-        return np.repeat(c[:, j], counts).reshape(t.shape)
+            return c[0]
+        return np.repeat(c.T, counts, axis=1).reshape(c.shape[1:] + t.shape)
 
-    xs = np.full(t.shape, per_angle(xa, 0))
-    ys = np.full(t.shape, per_angle(ya, 0))
-    for j in range(1, xa.shape[1]):
-        cj = np.cos(j * t)
-        sj = np.sin(j * t)
-        xs += per_angle(xa, j) * cj + per_angle(xb, j - 1) * sj
-        ys += per_angle(ya, j) * cj + per_angle(yb, j - 1) * sj
+    x0, y0 = per_angle(xa[:, :1])[0], per_angle(ya[:, :1])[0]
+    xs = x0 + horner(per_angle(xa[:, 1:] - 1j * xb), z).real
+    ys = y0 + horner(per_angle(ya[:, 1:] - 1j * yb), z).real
     return xs, ys
 
 
@@ -191,7 +205,8 @@ def evaluate_many(c: TrigCurve, phis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(c: TrigCurve, phi: float) -> PlanePoint:
-    """Point (x(phi), y(phi)); the angle is reduced mod 2*pi."""
+    """Point (x(phi), y(phi)), from e^{i*phi}: any real angle, no reduction
+    step."""
     xs, ys = evaluate_many(c, float(phi))
     return PlanePoint(float(xs), float(ys))
 

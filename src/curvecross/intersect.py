@@ -10,26 +10,31 @@ looks non-transversal (refinement failure, near-singular Jacobian, odd
 total, overlapping polyline geometry) raises the ``degenerate`` flag instead
 of guessing.
 
+Polylines and Newton share one kernel, ``curves.horner``: a coordinate is
+its constant term plus Re of a Horner sum of the coefficients a_j - i*b_j
+in e^{i*theta}, and a velocity is -Im of the sum with coefficients
+j*(a_j - i*b_j).
+
 The pairs come as two ``curves.CurveRows`` blocks, row k of f against row k
 of g (``count_intersections_many``); ``count_intersections`` is its one-pair
 call on two ``TrigCurve`` objects. Every stage treats each pair apart from
 the others: candidates are tested on the unshifted boxes together with a
-same-pair test, each seed's Newton sums run in an order fixed by the
-degree, and dedup compares roots of one pair only. A pair's result is
-therefore bit-identical whether it is counted alone or in any block. A
-block holds at most ``_BLOCK_VERTICES`` polyline vertices, which bounds its
-arrays.
+same-pair test, each value's Horner sum runs element by element in an order
+fixed by the degree, and dedup compares roots of one pair only. A pair's
+result is therefore bit-identical whether it is counted alone or in any
+block. A block holds at most ``_BLOCK_VERTICES`` polyline vertices, which
+bounds its arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .curves import CurveRows, TrigCurve, evaluate_rows, lipschitz_bounds, point_radius_bound
+from .curves import (CurveRows, TrigCurve, evaluate_rows, horner, lipschitz_bounds,
+                     point_radius_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,72 +132,34 @@ def segment_proper_cross(p1, p2, q1, q2) -> bool:
     return bool(_cross_tests(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y)[4])
 
 
-@lru_cache(maxsize=None)
-def _pair_layout(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and factor that take a pair's coefficients c (f's xa,
-    xb, ya, yb, then g's, then one zero) to its _pair_matrix rows: entry
-    (i, k) is c[index[i, k]] * factor[i, k]. The factors are 1, -1, j and
-    -j, so each entry is rounded as the product it stands for."""
-    w = 4 * N + 2
-    k = np.arange(N)
-    fxa, fxb, fya, fyb = 1 + k, N + 1 + k, 2 * N + 2 + k, 3 * N + 2 + k
-    gxa, gxb, gya, gyb = fxa + w, fxb + w, fya + w, fyb + w
-    zero = np.full(N, 2 * w)
-    j = np.arange(1.0, N + 1)
-    one = np.ones(N)
-    columns = [  # blocks of the feature row: cos j*phi, cos j*psi, sin j*phi, sin j*psi
-        ((fxa, gxa, fxb, gxb), (one, -one, one, -one)),  # rx
-        ((fya, gya, fyb, gyb), (one, -one, one, -one)),  # ry
-        ((fxb, zero, fxa, zero), (j, one, -j, one)),  # f'x
-        ((fyb, zero, fya, zero), (j, one, -j, one)),  # f'y
-        ((zero, gxb, zero, gxa), (one, j, one, -j)),  # g'x
-        ((zero, gyb, zero, gya), (one, j, one, -j)),  # g'y
-    ]
-    index = np.stack([np.concatenate(i) for i, _ in columns], axis=1)
-    factor = np.stack([np.concatenate(m) for _, m in columns], axis=1)
-    index.setflags(write=False)  # shared by every caller through the cache
-    factor.setflags(write=False)
-    return index, factor
-
-
 def _pair_matrix(f, g):
-    """Rows and offset of the linear map from the feature row
-    [cos j*phi, cos j*psi, sin j*phi, sin j*psi] (j = 1..N) to
-    (rx, ry, f'x, f'y, g'x, g'y), where (rx, ry) = f(phi) - g(psi), for each
-    pair p of the coefficient arrays f and g (CurveRows.arrays): rows[p]
-    has shape (4N, 6) and offset[p] shape (6,)."""
-    fxa, _, fya, _ = f
-    gxa, _, gya, _ = g
-    index, factor = _pair_layout(fxa.shape[1] - 1)
-    rows = np.concatenate(f + g + (np.zeros((fxa.shape[0], 1)),), axis=1)[:, index] * factor
-    offset = np.zeros((fxa.shape[0], 6))
-    offset[:, 0] = fxa[:, 0] - gxa[:, 0]
-    offset[:, 1] = fya[:, 0] - gya[:, 0]
-    return rows, offset
-
-
-def _fold_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 by folding halves together, an order fixed by that
-    axis' length alone, where a matrix product's order may follow the batch
-    shape."""
-    while terms.shape[1] > 1:
-        half = terms.shape[1] // 2
-        folded = terms[:, :half] + terms[:, half:2 * half]
-        terms = np.concatenate((folded, terms[:, 2 * half:]), axis=1) if terms.shape[1] % 2 else folded
-    return terms.sum(axis=1)  # one term, or none at degree 0: exact
+    """Horner rows and constant offsets of each pair p of the coefficient
+    arrays f and g (CurveRows.arrays): rows[p] has shape (8, N), the
+    coefficients a_j - i*b_j (j = 1..N) of f's x and y, then of g's, then the
+    four again times j; offset[p] is (f's x, y constant terms) minus g's."""
+    fxa, fxb, fya, fyb = f
+    gxa, gxb, gya, gyb = g
+    n, N = fxb.shape
+    cosines = np.concatenate((fxa[:, 1:], fya[:, 1:], gxa[:, 1:], gya[:, 1:]), axis=1)
+    plain = (cosines - 1j * np.concatenate((fxb, fyb, gxb, gyb), axis=1)).reshape(n, 4, N)
+    rows = np.concatenate((plain, plain * np.arange(1.0, N + 1)), axis=1)
+    return rows, np.stack((fxa[:, 0] - gxa[:, 0], fya[:, 0] - gya[:, 0]), axis=1)
 
 
 def _newton_batch(rows, offset, phi, psi, res_tol: float, cfg: CountingConfig):
     """Newton on F(phi, psi) = f(phi) - g(psi) from every seed at once; seed
-    k uses the map rows[k], offset[k] of its pair (see _pair_matrix).
+    k uses the Horner rows[k] and offset[k] of its pair (see _pair_matrix).
 
-    Each pass tests the Jacobian first, then the residual, then steps; a seed
-    that turned near-singular or converged is frozen and leaves the batch, so
-    a seed's path does not depend on the other seeds. Returns
+    Each pass evaluates the eight horner sums of every live seed, f's at
+    e^{i*phi} and g's at e^{i*psi}: the residual is Re of the plain sums plus
+    the offset, added last, and f', g' are -Im of the j-weighted sums. It
+    tests the Jacobian first, then the residual, then steps; a seed that
+    turned near-singular or converged is frozen and leaves the batch, so a
+    seed's path does not depend on the other seeds. Returns
     (phi, psi, det, ok): the seeds wrapped to the torus, det(f', -g') at
     each, and ok where the seed converged.
     """
-    j = np.arange(1.0, rows.shape[1] // 4 + 1)
+    coef = np.moveaxis(rows, 2, 0)  # coef[j - 1]: the (seed, sum) coefficients of z**j
     phi = np.array(phi, dtype=float)
     psi = np.array(psi, dtype=float)
     det = np.zeros(phi.size)
@@ -200,21 +167,21 @@ def _newton_batch(rows, offset, phi, psi, res_tol: float, cfg: CountingConfig):
     live = np.arange(phi.size)
     for _ in range(cfg.max_newton_iters + 1):
         p, q = phi[live], psi[live]
-        angles = np.concatenate((np.multiply.outer(p, j), np.multiply.outer(q, j)), axis=1)
-        features = np.concatenate((np.cos(angles), np.sin(angles)), axis=1)
-        values = _fold_sum(features[:, :, None] * rows[live]) + offset[live]
-        rx, ry, dfx, dfy, dgx, dgy = values.T
+        e = np.exp(1j * np.array((p, q)))  # f's sums take e[0], g's e[1]
+        sums = horner(coef[:, live], e[[0, 0, 1, 1, 0, 0, 1, 1]].T)
+        r = (sums[:, :2].real - sums[:, 2:4].real) + offset[live]
+        v = -sums[:, 4:].imag
+        dfx, dfy, dgx, dgy = v.T
         d = dgx * dfy - dfx * dgy
         singular = np.abs(d) < cfg.degeneracy_threshold
-        done = ~singular & (np.hypot(rx, ry) <= res_tol)
+        done = ~singular & (np.hypot(r[:, 0], r[:, 1]) <= res_tol)
         det[live] = d
         ok[live] = done
         step = ~(singular | done)
         live = live[step]
         if not live.size:
             break
-        rx, ry, dfx, dfy, dgx, dgy = values[step].T
-        d = d[step]
+        (rx, ry), (dfx, dfy, dgx, dgy), d = r[step].T, v[step].T, d[step]
         phi[live] = p[step] + (rx * dgy - ry * dgx) / d
         psi[live] = q[step] + (rx * dfy - ry * dfx) / d
     return np.mod(phi, TWO_PI), np.mod(psi, TWO_PI), det, ok

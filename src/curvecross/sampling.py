@@ -180,10 +180,11 @@ def _stream_states(master_seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _generator() -> np.random.Generator:
-    """A generator for one sampler call, pointed at each of its streams in
-    turn; its own seed is never drawn from."""
-    return np.random.Generator(np.random.PCG64(0))
+# The process's one sampler generator, pointed at each stream in turn by
+# _set_stream, which resets its whole state before every stream's draws; its
+# own seed is never drawn from. Sampler calls made at the same time from
+# several threads would share it.
+_GENERATOR = np.random.Generator(np.random.PCG64(0))
 
 
 def _set_stream(gen: np.random.Generator, state: tuple[int, int]) -> None:
@@ -249,7 +250,7 @@ def sample_unit_ball_curve(N: int, r: int, seed: SeedSpec) -> TrigCurve:
     N = check_degree(N)
     r = check_order(r)
     states = _stream_states(seed.master_seed, np.array([[seed.stream_index]], dtype=np.uint64))
-    return _iso_rows(N, r, _ball_points(_generator(), 4 * N + 2, states)).curve(0)
+    return _iso_rows(N, r, _ball_points(_GENERATOR, 4 * N + 2, states)).curve(0)
 
 
 def sample_max_norm_weighted_pairs(N: int, r: int, k: float, master_seed: int,
@@ -271,7 +272,7 @@ def sample_max_norm_weighted_pairs(N: int, r: int, k: float, master_seed: int,
     index = np.array([_check_u64("stream_index", i) for i in indices], dtype=np.uint64)
     dim = 4 * N + 2
     sides = 2 if k == 0 else 3  # x ** 0.0 is 1: no acceptance draw
-    gen = _generator()
+    gen = _GENERATOR
     u = np.empty((2 * index.size, dim))
     open_ = np.arange(index.size)
     attempt = 0

@@ -62,3 +62,12 @@ def iso_coordinates(c: TrigCurve) -> np.ndarray:
         u[base + 2] = c.ya[j]
         u[base + 3] = c.yb[j - 1]
     return u
+
+
+def scalar_coordinate(a, b, phi: float) -> float:
+    """a[0] + sum_j a[j] cos(j*phi) + b[j-1] sin(j*phi), term by term with
+    math.cos/math.sin and summed by math.fsum: a reference independent of
+    the array kernel."""
+    a, b = list(map(float, a)), list(map(float, b))
+    return math.fsum([a[0]] + [a[j] * math.cos(j * phi) + b[j - 1] * math.sin(j * phi)
+                               for j in range(1, len(a))])

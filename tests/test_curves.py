@@ -26,9 +26,10 @@ from curvecross.curves import (
 )
 from curvecross.sampling import SeedSpec, sample_unit_ball_curve
 
-from _support import curve_axpy, trig_curves, unit_circle
+from _support import curve_axpy, scalar_coordinate, trig_curves, unit_circle
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 class TestEvaluate:
@@ -78,6 +79,29 @@ class TestEvaluate:
         xs, ys = evaluate_many(c, [phi])
         assert xs[0] == pytest.approx(p.x, abs=1e-12)
         assert ys[0] == pytest.approx(p.y, abs=1e-12)
+
+
+class TestKernelAccuracy:
+    """evaluate_rows against scalar math.cos/math.sin sums, to a bound set
+    by float64 rounding: the Horner sum's error grows with the degree times
+    the harmonics' size, the constant term adds one rounding."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 8, 24])
+    def test_matches_scalar_sum(self, N):
+        rng = np.random.default_rng(100 + N)
+        counts = np.array([7, 0, 1, 300, 40, 2])
+        xa, ya = rng.normal(size=(2, counts.size, N + 1))
+        xb, yb = rng.normal(size=(2, counts.size, N))
+        xa[1::2, 0] += 1e3  # translated rows
+        # angles in [-1e4, 1e4] on a 2**-20 grid, so that j*phi is exact in
+        # the reference
+        phis = rng.integers(-10_000 * 2**20, 10_000 * 2**20, counts.sum()) / 2**20
+        xs, ys = evaluate_rows(xa, xb, ya, yb, phis, counts)
+        rows = np.repeat(np.arange(counts.size), counts)
+        for phi, k, x, y in zip(phis.tolist(), rows.tolist(), xs.tolist(), ys.tolist()):
+            for a, b, got in ((xa[k], xb[k], x), (ya[k], yb[k], y)):
+                bound = 4 * EPS * ((N + 1) * (np.abs(a[1:]).sum() + np.abs(b).sum()) + abs(a[0]))
+                assert abs(got - scalar_coordinate(a, b, phi)) <= bound
 
 
 class TestDerivative:

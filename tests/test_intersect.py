@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvecross.curves import CurveRows, TrigCurve, evaluate, point_radius_bound
+from curvecross.curves import CurveRows, TrigCurve, evaluate, horner, point_radius_bound
 from curvecross.intersect import (
     CountingConfig,
     _first_of_clusters,
@@ -23,9 +23,10 @@ from curvecross.intersect import (
 )
 from curvecross.sampling import SeedSpec, sample_pair, sample_pairs
 
-from _support import circle_at, rotate_curve, unit_circle
+from _support import circle_at, rotate_curve, scalar_coordinate, unit_circle
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 def shifted_circle() -> TrigCurve:
@@ -202,6 +203,38 @@ class TestNewton:
             assert (hit is not None) == ok[k]
             if hit is not None:
                 assert hit == pytest.approx((phi[k], psi[k], det[k]), abs=1e-12)
+
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 8])
+    def test_pair_rows_match_scalar_sums(self, N):
+        # Re of the plain Horner rows plus the offset is f(phi) - g(psi), and
+        # -Im of the j-weighted rows is f'(phi) and g'(psi): checked against
+        # scalar sums and their central differences, to bounds set by float64
+        # rounding and by the difference quotient's h**2 term
+        pair = sample_pair(N, 0, SeedSpec(61, N))
+        f, g = pair.f, pair.g
+        f = TrigCurve(N, np.concatenate(([f.xa[0] + 1e3], f.xa[1:])), f.xb, f.ya, f.yb)
+        rows, offset = _pair_matrix(CurveRows.stack([f]).arrays, CurveRows.stack([g]).arrays)
+        assert rows.shape == (1, 8, N) and offset.shape == (1, 2)
+        coords = [(f.xa, f.xb), (f.ya, f.yb), (g.xa, g.xb), (g.ya, g.yb)]
+        j = np.arange(1, N + 1)
+        size = [float((np.abs(a[1:]) + np.abs(b)).sum()) for a, b in coords]
+        cubes = [float((j**3 * (np.abs(a[1:]) + np.abs(b))).sum()) for a, b in coords]
+        h = 1e-4
+        for phi, psi in np.random.default_rng(9).uniform(-10.0, 10.0, size=(50, 2)).tolist():
+            angles = [phi, phi, psi, psi]
+            zs = [complex(math.cos(t), math.sin(t)) for t in angles]
+            sums = [complex(horner(rows[0, i], zs[i % 4])) for i in range(8)]
+            for c in (0, 1):
+                want = scalar_coordinate(*coords[c], phi) - scalar_coordinate(*coords[c + 2], psi)
+                got = (sums[c].real - sums[c + 2].real) + offset[0, c]
+                consts = abs(coords[c][0][0]) + abs(coords[c + 2][0][0])
+                assert abs(got - want) <= 4 * EPS * ((N + 1) * (size[c] + size[c + 2]) + consts)
+            for c, ((a, b), t) in enumerate(zip(coords, angles)):
+                central = (scalar_coordinate(a, b, t + h)
+                           - scalar_coordinate(a, b, t - h)) / (2 * h)
+                bound = h * h / 6 * cubes[c] + 4 * EPS * (abs(a[0]) + size[c]) / h
+                assert abs(-sums[4 + c].imag - central) <= bound
 
 
 class TestConstantCurves:

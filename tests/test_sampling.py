@@ -246,10 +246,8 @@ class TestPairSampler:
     @pytest.mark.slow
     def test_component_norms_uncorrelated(self):
         n_draws = 100_000
-        norms = np.empty((n_draws, 2))
-        for i in range(n_draws):
-            pair = sample_pair(1, 0, SeedSpec(13, i))
-            norms[i] = (norm(pair.f, 0), norm(pair.g, 0))
+        f, g = sample_pairs(1, 0, 13, range(n_draws))
+        norms = np.stack((f.norms(0), g.norms(0)), axis=1)
         corr = float(np.corrcoef(norms[:, 0], norms[:, 1])[0, 1])
         assert abs(corr) < 0.01
 
