@@ -204,7 +204,6 @@ class TestNewton:
             if hit is not None:
                 assert hit == pytest.approx((phi[k], psi[k], det[k]), abs=1e-12)
 
-
     @pytest.mark.parametrize("N", [0, 1, 2, 8])
     def test_pair_rows_match_scalar_sums(self, N):
         # Re of the plain Horner rows plus the offset is f(phi) - g(psi), and
