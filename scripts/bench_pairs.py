@@ -8,8 +8,9 @@ checkout runs its own copy of the benchmark, so give both the same
 workload and metric, each side's runs, median and quartiles and how many
 pairs the change won. Then 3 alternating pairs of processes time per-pair
 sampling, one-pair counting, block counting per cell at N 4 and 8, and the
-polyline oracle at N 1..3 in each checkout's package (``MICRO``); each
-timing is the fastest over the processes. Last, each checkout's Tier-1
+polyline oracle at N 1..3, and per call ``exact --sweep 1..200`` at r 0, 1
+and 2 and ``verify --N 1..3 --fiber-attempts 200000``, in each checkout's
+package (``MICRO``); each timing is the fastest over the processes. Last, each checkout's Tier-1
 test suite runs once, parent first, and its wall time is recorded.
 
     python scripts/bench_pairs.py --parent ../parent --change . --out BENCH_2.json
@@ -42,9 +43,12 @@ MICRO_PAIRS = 3
 # count_intersections_many on 4 blocks of 64 pre-sampled pairs of seed 1 per
 # cell at N 4 and 8, r 0 and 1 (fastest of 5 passes), the per-cell figure the
 # traced report lacks for the block counter; brute_force_count on 8
-# pre-sampled r=0 pairs at N 1..3 (fastest of 3 passes).
+# pre-sampled r=0 pairs at N 1..3 (fastest of 3 passes). Microseconds per
+# call: the CLI's `exact --sweep 1..200` at r 0, 1 and 2 and `verify --N 1..3
+# --fiber-attempts 200000 --seed 0 --json`, output captured (fastest of 3).
 MICRO = r"""
-import json, time, timeit
+import contextlib, io, json, time, timeit
+import curvecross.cli as C
 import curvecross.sampling as S
 import curvecross.intersect as I
 from curvecross.intersect import count_intersections
@@ -81,7 +85,16 @@ for N in (1, 2, 3):
     pairs = [S.sample_pair(N, 0, S.SeedSpec(1, i)) for i in range(8)]
     best = fastest(lambda: [I.brute_force_count(p.f, p.g) for p in pairs], 3)
     out[f"brute_force_count_N{N}"] = best / 8 * 1e6
-print(json.dumps(out))
+def cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        C.main(argv)
+calls = {}
+for r in (0, 1, 2):
+    argv = ["exact", "--sweep", "1..200", "--r", str(r)]
+    calls[f"exact_sweep_1..200_r{r}"] = fastest(lambda: cli(argv), 3) * 1e6
+argv = ["verify", "--N", "1..3", "--fiber-attempts", "200000", "--seed", "0", "--json"]
+calls["verify_N1..3_fiber200000"] = fastest(lambda: cli(argv), 3) * 1e6
+print(json.dumps({"per_pair": out, "per_call": calls}))
 """
 
 
@@ -110,13 +123,16 @@ def micro(checkout: Path) -> dict:
 
 
 def micro_pairs(parent: Path, change: Path) -> dict:
-    """Fastest per-pair timings of each side over MICRO_PAIRS alternating pairs."""
+    """Fastest timings of each side over MICRO_PAIRS alternating pairs, as
+    {"per_pair": {side: ...}, "per_call": {side: ...}}."""
     runs = {"parent": [], "change": []}
     for k in range(MICRO_PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(micro(parent if side == "parent" else change))
-    return {side: {name: min(r[name] for r in rs) for name in rs[0]} for side, rs in runs.items()}
+    return {part: {side: {name: min(r[part][name] for r in rs) for name in rs[0][part]}
+                   for side, rs in runs.items()}
+            for part in ("per_pair", "per_call")}
 
 
 def tier1(checkout: Path) -> dict:
@@ -196,6 +212,9 @@ def notes(machine: dict) -> list:
         "pre-sampled pairs of seed 1, fastest of 5 passes) and brute_force_count at N 1..3 "
         "(8 pre-sampled r=0 pairs, fastest of 3 passes); the value is the fastest over the "
         "processes.",
+        "micro_us_per_call: the same processes time the CLI's 'exact --sweep 1..200' at r 0, 1 "
+        "and 2 and 'verify --N 1..3 --fiber-attempts 200000 --seed 0 --json', output captured, "
+        "fastest of 3 calls; the value is the fastest over the processes.",
         "tier1: one run of each checkout's Tier-1 suite ('python -m pytest -q "
         "--continue-on-collection-errors' with the checkout's src on PYTHONPATH), parent first; "
         "one run per side, with nothing else alternating against it.",
@@ -238,7 +257,9 @@ def main(argv=None) -> int:
             "workloads": workloads,
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # kept if a later workload fails
-    doc["micro_us_per_pair"] = micro_pairs(args.parent, args.change)
+    micro_runs = micro_pairs(args.parent, args.change)
+    doc["micro_us_per_pair"] = micro_runs["per_pair"]
+    doc["micro_us_per_call"] = micro_runs["per_call"]
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     doc["tier1"] = {side: tier1(path) for side, path in (("parent", args.parent),
                                                           ("change", args.change))}

@@ -24,7 +24,7 @@ from dataclasses import asdict
 from . import __version__
 from .chain import run_chain
 from .curves import SchemaError, load_curve, save_curve
-from .exact import asymptote_ratio, check_degree, check_order, mean_intersections_exact
+from .exact import check_degree, check_order, mean_intersections_exact, mean_intersections_range
 from .intersect import CountingConfig, count_intersections
 from .montecarlo import AllSamplesDiscarded, ExperimentConfig, run_experiment
 from .sampling import SeedSpec, sample_unit_ball_curve
@@ -92,26 +92,33 @@ def _emit(text: str, out_path) -> None:
         print(text)
 
 
+def _fraction_digits(mv) -> tuple[str, str]:
+    """Numerator and denominator of an exact mean in decimal, however long.
+    CPython's 4300-digit guard on int/str conversion is lifted for these two
+    conversions only and restored after, so parsing user input keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(mv.exact.numerator), str(mv.exact.denominator)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _mean_json(mv) -> dict:
-    return {
-        "numerator": str(mv.exact.numerator),
-        "denominator": str(mv.exact.denominator),
-        "approx": mv.approx,
-    }
+    numerator, denominator = _fraction_digits(mv)
+    return {"numerator": numerator, "denominator": denominator, "approx": mv.approx}
 
 
 def cmd_exact(args) -> int:
     r = check_order(args.r)
     if args.sweep is not None:
         ns = _parse_range(args.sweep)
-        for n in ns:
-            check_degree(n)
-        buf = []
-        buf.append("N,numerator,denominator,approx,asymptote_ratio")
-        for n in ns:
-            mv = mean_intersections_exact(n, r)
-            ratio = f"{asymptote_ratio(n):.12g}" if (n >= 1 and r == 0) else ""
-            buf.append(f"{n},{mv.exact.numerator},{mv.exact.denominator},{mv.approx:.17g},{ratio}")
+        buf = ["N,numerator,denominator,approx,asymptote_ratio"]
+        for n, mv in mean_intersections_range(ns[0], ns[-1], r):
+            # asymptote_ratio(n), from the row's own value
+            ratio = f"{mv.approx / ((math.pi / 3.0) * n * n):.12g}" if (n >= 1 and r == 0) else ""
+            numerator, denominator = _fraction_digits(mv)
+            buf.append(f"{n},{numerator},{denominator},{mv.approx:.17g},{ratio}")
         _emit("\n".join(buf), args.out)
         return EXIT_OK
     if args.N is None:

@@ -2,6 +2,9 @@
 
 Everything here is big-integer / rational arithmetic (``fractions.Fraction``);
 floats appear only as round-to-nearest conveniences attached to exact values.
+The mean's formula is written once, in ``mean_intersections_range``, which
+walks a range of degrees with lambda_sq and mu as running sums;
+``mean_intersections_exact`` is its one-degree call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "lambda_sq",
     "ball_volume_even",
     "mean_intersections_exact",
+    "mean_intersections_range",
     "asymptote_ratio",
     "metric_series_limits",
     "sobolev_limit_report",
@@ -114,6 +118,33 @@ class MeanValue:
         return cls(value, value.numerator / value.denominator)
 
 
+def mean_intersections_range(lo, hi, r=0):
+    """Yield (N, mean_intersections_exact(N, r)) for N = lo, lo + 1, ..., hi.
+
+    lambda_sq and mu are carried as running sums, one term each per degree,
+    so a sweep costs one Fraction addition per sum per degree rather than a
+    fresh sum at every N. Fractions are kept normalized, so each value is the
+    same rational as the formula on lambda_sq(N, r) and mu(N, r) gives, and
+    MeanValue.from_exact rounds it the same way.
+    """
+    lo, hi, r = check_degree(lo), check_degree(hi), check_order(r)
+    lam, mu_N = Fraction(0), Fraction(1)  # lambda_sq(N, r) and mu(N, r) at N = 0
+    for N in range(hi + 1):
+        if N:
+            t = tau(N, r)
+            lam += Fraction(N * N, t)
+            mu_N += Fraction(2, t)
+        if N >= lo:
+            value = (
+                Fraction(2) ** (8 * N + 3)
+                * lam
+                * factorial(2 * N) ** 4
+                * (2 * N + 1)
+                / (mu_N * factorial(4 * N + 1) ** 2)
+            )
+            yield N, MeanValue.from_exact(value)
+
+
 def mean_intersections_exact(N, r=0) -> MeanValue:
     """Expected number of crossings of two independent uniform draws from the
     unit ball of the order-r metric:
@@ -121,18 +152,11 @@ def mean_intersections_exact(N, r=0) -> MeanValue:
         2^(8N+3) * lambda_sq(N,r) * ((2N)!)^4 * (2N+1) / (mu(N,r) * ((4N+1)!)^2)
 
     At r=0 the factor (2N+1)/mu(N) is 1 and the value reduces to the plain
-    L2 formula.
+    L2 formula. This is the one-degree call of mean_intersections_range,
+    where the formula is written.
     """
     N = check_degree(N)
-    r = check_order(r)
-    value = (
-        Fraction(2) ** (8 * N + 3)
-        * lambda_sq(N, r)
-        * factorial(2 * N) ** 4
-        * (2 * N + 1)
-        / (mu(N, r) * factorial(4 * N + 1) ** 2)
-    )
-    return MeanValue.from_exact(value)
+    return next(mean_intersections_range(N, N, r))[1]
 
 
 def asymptote_ratio(N) -> float:

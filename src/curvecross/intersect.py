@@ -43,6 +43,11 @@ _SEG_TARGET_FACTOR = 0.02
 # polyline vertices per block of pairs counted together: bounds the block's
 # arrays whatever the number of pairs in one call
 _BLOCK_VERTICES = 1 << 13
+# the oracle's first-level boxes each cover this many consecutive segments
+# (16 measured 5.6 ms per N=8 oracle call against 1.8 ms), and its candidate
+# expansion takes this many overlapping chunk pairs at once
+_ORACLE_CHUNK = 8
+_ORACLE_BATCH = 1024
 
 __all__ = [
     "CountingConfig",
@@ -401,25 +406,59 @@ def count_intersections(f: TrigCurve, g: TrigCurve,
     return count_intersections_many(CurveRows.stack([f]), CurveRows.stack([g]), cfg)[0]
 
 
-def _polyline_cross_count(f: TrigCurve, g: TrigCurve, m: int) -> int:
-    """Strict crossing count of the two closed m-vertex polylines, testing
-    every pair of overlapping segment boxes (no sweep), in row blocks."""
-    fx, fy = _closed_polylines(CurveRows.stack([f]).arrays, np.array([m]))
-    gx, gy = _closed_polylines(CurveRows.stack([g]).arrays, np.array([m]))
-    fx0, fx1 = np.minimum(fx[:-1], fx[1:]), np.maximum(fx[:-1], fx[1:])
-    fy0, fy1 = np.minimum(fy[:-1], fy[1:]), np.maximum(fy[:-1], fy[1:])
-    gx0, gx1 = np.minimum(gx[:-1], gx[1:]), np.maximum(gx[:-1], gx[1:])
-    gy0, gy1 = np.minimum(gy[:-1], gy[1:]), np.maximum(gy[:-1], gy[1:])
+def _segment_boxes(xs: np.ndarray, ys: np.ndarray):
+    """Bounding box (x0, x1, y0, y1) of each segment of a polyline."""
+    return (np.minimum(xs[:-1], xs[1:]), np.maximum(xs[:-1], xs[1:]),
+            np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:]))
+
+
+def _chunk_boxes(boxes):
+    """Bounding box of each run of _ORACLE_CHUNK consecutive segment boxes."""
+    starts = np.arange(0, boxes[0].size, _ORACLE_CHUNK)
+    x0, x1, y0, y1 = boxes
+    return (np.minimum.reduceat(x0, starts), np.maximum.reduceat(x1, starts),
+            np.minimum.reduceat(y0, starts), np.maximum.reduceat(y1, starts))
+
+
+def _overlap(a, b):
+    """Whether box a meets box b, broadcast over their arrays."""
+    ax0, ax1, ay0, ay1 = a
+    bx0, bx1, by0, by1 = b
+    return (ax0 <= bx1) & (ax1 >= bx0) & (ay0 <= by1) & (ay1 >= by0)
+
+
+def _polyline_cross_count(fx, fy, gx, gy) -> int:
+    """Strict crossing count of the closed polylines (fx, fy) and (gx, gy),
+    tested on every pair of segments whose boxes overlap (no sweep).
+
+    Two levels of boxes find those pairs. Each run of _ORACLE_CHUNK
+    consecutive segments gets the box of its segments' boxes, f's chunk boxes
+    are tested against g's in blocks of rows, and only the overlapping chunk
+    pairs are expanded into their segment pairs, in batches, for the segment
+    box test and the orientation tests. A chunk box contains its segments'
+    boxes, so the candidates are exactly the overlapping segment-box pairs.
+    """
+    f, g = _segment_boxes(fx, fy), _segment_boxes(gx, gy)
+    mf, mg = f[0].size, g[0].size
+    fc, gc = _chunk_boxes(f), _chunk_boxes(g)
+    offset = np.arange(_ORACLE_CHUNK)
     total = 0
-    for lo in range(0, m, 2048):
-        hi = lo + 2048
-        overlap = ((fx0[lo:hi, None] <= gx1) & (fx1[lo:hi, None] >= gx0)
-                   & (fy0[lo:hi, None] <= gy1) & (fy1[lo:hi, None] >= gy0))
-        i, j = np.nonzero(overlap)
-        i = i + lo
-        proper = _cross_tests(
-            fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])[4]
-        total += int(np.count_nonzero(proper))
+    rows = 2048 // _ORACLE_CHUNK  # chunk rows per block: 2,048 segments of f
+    for lo in range(0, fc[0].size, rows):
+        ci, cj = np.nonzero(_overlap(tuple(b[lo:lo + rows, None] for b in fc), gc))
+        ci += lo
+        for k in range(0, ci.size, _ORACLE_BATCH):
+            # every segment pair (i, j) of a batch of overlapping chunk pairs
+            i, j = np.broadcast_arrays(
+                (ci[k:k + _ORACLE_BATCH] * _ORACLE_CHUNK)[:, None, None] + offset[:, None],
+                (cj[k:k + _ORACLE_BATCH] * _ORACLE_CHUNK)[:, None, None] + offset)
+            keep = (i < mf) & (j < mg)
+            i, j = i[keep], j[keep]
+            keep = _overlap(tuple(b[i] for b in f), tuple(b[j] for b in g))
+            i, j = i[keep], j[keep]
+            proper = _cross_tests(
+                fx[i], fy[i], fx[i + 1], fy[i + 1], gx[j], gy[j], gx[j + 1], gy[j + 1])[4]
+            total += int(np.count_nonzero(proper))
     return total
 
 
@@ -428,9 +467,14 @@ def brute_force_count(f: TrigCurve, g: TrigCurve, M: int = 256) -> tuple[int, bo
 
     Counts strict polyline crossings at M, 2M and 4M vertices; stable means
     all three agree (the agreed count is returned, else the finest one).
+    Each curve is evaluated once, at 4M vertices, and the M and 2M polylines
+    are its every fourth and every second vertex: vertex 4i sits at angle
+    (4i) * (2*pi / 4M), which in floating point equals i * (2*pi / M).
     """
     if M < 256:
         raise ValueError("oracle resolution must be at least 256 vertices")
-    counts = [_polyline_cross_count(f, g, m) for m in (M, 2 * M, 4 * M)]
+    fx, fy = _closed_polylines(CurveRows.stack([f]).arrays, np.array([4 * M]))
+    gx, gy = _closed_polylines(CurveRows.stack([g]).arrays, np.array([4 * M]))
+    counts = [_polyline_cross_count(fx[::s], fy[::s], gx[::s], gy[::s]) for s in (4, 2, 1)]
     stable = counts[0] == counts[1] == counts[2]
     return counts[2], stable

@@ -1,4 +1,8 @@
 import json
+import math
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +15,7 @@ from curvecross.cli import (
     main,
 )
 from curvecross.curves import load_curve, save_curve
+from curvecross.exact import asymptote_ratio, mean_intersections_exact
 
 from _support import circle_at, unit_circle
 
@@ -56,6 +61,78 @@ class TestExact:
     def test_rejects_negative_degree(self, capsys):
         code, _, _ = run_cli(capsys, "exact", "--N", "-3")
         assert code == EXIT_USAGE
+
+
+@contextmanager
+def long_int_strings():
+    """Let this test convert ints of more than 4300 digits, as the CLI does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def sweep_rows(out: str) -> list[list[str]]:
+    lines = out.strip().splitlines()
+    assert lines[0] == "N,numerator,denominator,approx,asymptote_ratio"
+    return [line.split(",") for line in lines[1:]]
+
+
+class TestExactSweep:
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("span", ["0..40", "1..40", "37..60", "23"])
+    def test_rows_match_one_degree_calls(self, capsys, span, r):
+        code, out, _ = run_cli(capsys, "exact", "--sweep", span, "--r", str(r))
+        assert code == EXIT_OK
+        rows = sweep_rows(out)
+        lo, _, hi = span.partition("..")
+        assert [int(row[0]) for row in rows] == list(range(int(lo), int(hi or lo) + 1))
+        for n, num, den, approx, ratio in rows:
+            mv = mean_intersections_exact(int(n), r)
+            assert Fraction(int(num), int(den)) == mv.exact
+            assert (num, den) == (str(mv.exact.numerator), str(mv.exact.denominator))
+            assert approx == f"{mv.approx:.17g}"
+            wanted = f"{asymptote_ratio(int(n)):.12g}" if (r == 0 and int(n) >= 1) else ""
+            assert ratio == wanted
+
+
+class TestLongExactValues:
+    """Exact means past CPython's 4300-digit int/str limit are printed in
+    full, and the limit is back in force afterwards."""
+
+    def test_single_value(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "exact", "--N", "1000", "--r", "1")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        doc = json.loads(out)
+        mv = mean_intersections_exact(1000, 1)
+        with long_int_strings():
+            assert len(doc["numerator"]) > 4300
+            assert int(doc["numerator"]) == mv.exact.numerator
+            assert int(doc["denominator"]) == mv.exact.denominator
+
+    def test_sweep(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "exact", "--sweep", "998..1000", "--r", "1")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        rows = sweep_rows(out)
+        assert [int(row[0]) for row in rows] == [998, 999, 1000]
+        with long_int_strings():
+            for n, num, den, approx, _ in rows:
+                mv = mean_intersections_exact(int(n), 1)
+                assert (int(num), int(den)) == (mv.exact.numerator, mv.exact.denominator)
+                assert float(approx) == mv.approx and math.isfinite(mv.approx)
+
+    def test_user_input_keeps_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run_cli(capsys, "exact", "--N", "1" * (limit + 1))
+        assert code == EXIT_USAGE
+        assert "invalid int value" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestSample:

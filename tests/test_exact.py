@@ -12,6 +12,7 @@ from curvecross.exact import (
     ball_volume_even,
     lambda_sq,
     mean_intersections_exact,
+    mean_intersections_range,
     metric_series_limits,
     mu,
     sobolev_limit_report,
@@ -24,6 +25,13 @@ def eq6_closed_form(N: int) -> Fraction:
     1 + 4 + ... + N^2 = N(N+1)(2N+1)/6 substituted into the factorial ratio."""
     square_sum = Fraction(N * (N + 1) * (2 * N + 1), 6)
     return Fraction(2) ** (8 * N + 3) * factorial(2 * N) ** 4 * square_sum / factorial(4 * N + 1) ** 2
+
+
+def closed_form(N: int, r: int) -> Fraction:
+    """The general formula from the one-shot sums lambda_sq(N, r) and mu(N, r),
+    beside the running sums of mean_intersections_range."""
+    return (Fraction(2) ** (8 * N + 3) * lambda_sq(N, r) * factorial(2 * N) ** 4 * (2 * N + 1)
+            / (mu(N, r) * factorial(4 * N + 1) ** 2))
 
 
 class TestTau:
@@ -142,6 +150,29 @@ class TestMeanExact:
         assert mv.approx == pytest.approx(1 / 3, rel=1e-15)
 
 
+SWEEP_RANGES = [(0, 40), (1, 40), (37, 60), (23, 23)]
+
+
+class TestMeanRange:
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("lo, hi", SWEEP_RANGES)
+    def test_rows_match_one_degree_calls(self, lo, hi, r):
+        rows = list(mean_intersections_range(lo, hi, r))
+        assert [N for N, _ in rows] == list(range(lo, hi + 1))
+        for N, mv in rows:
+            assert mv == mean_intersections_exact(N, r)
+            assert mv.exact == closed_form(N, r)
+            assert mv.approx == mv.exact.numerator / mv.exact.denominator
+
+    def test_empty_range(self):
+        assert list(mean_intersections_range(5, 4, 1)) == []
+
+    def test_rejects_bad_arguments(self):
+        for args in ((-1, 3, 0), (0, -1, 0), (0, 3, -1)):
+            with pytest.raises(ValueError):
+                next(mean_intersections_range(*args))
+
+
 class TestAsymptoteRatio:
     def test_degree_one_value(self):
         expected = (512 / 225) / (math.pi / 3.0)
@@ -195,6 +226,14 @@ class TestSobolevLimitReport:
         assert rep.ratio_vs_2pi_over_r_plus_1 == pytest.approx(
             rep.candidate_limit / (2 * math.pi / 3), rel=1e-12
         )
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_rows_are_the_exact_means(self, r):
+        rep = sobolev_limit_report(r, [1, 5, 10, 40])
+        assert [N for N, _ in rep.rows] == [1, 5, 10, 40]
+        for N, mv in rep.rows:
+            assert mv.exact == closed_form(N, r)
+            assert mv.approx == mv.exact.numerator / mv.exact.denominator
 
     def test_first_order_grows_linearly(self):
         rep = sobolev_limit_report(1, [10, 20, 40])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from curvecross.curves import CurveRows, TrigCurve, evaluate, horner, point_radius_bound
 from curvecross.intersect import (
     CountingConfig,
+    _closed_polylines,
     _first_of_clusters,
     _newton_batch,
     _pair_matrix,
@@ -23,7 +24,8 @@ from curvecross.intersect import (
 )
 from curvecross.sampling import SeedSpec, sample_pair, sample_pairs
 
-from _support import circle_at, rotate_curve, scalar_coordinate, unit_circle
+from _support import (all_pairs_oracle, circle_at, rotate_curve, scalar_coordinate,
+                      unit_circle)
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -370,6 +372,56 @@ class TestBlocks:
                 tracemalloc.stop()
 
         assert peak(256) <= 1.5 * peak(32)
+
+
+class TestOracle:
+    """brute_force_count's two-level box filter against the all-pairs
+    reference in _support: the same candidates, so the same counts."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_matches_all_pairs_on_sampled_pairs(self, N, r):
+        f, g = sample_pairs(N, r, 611, range(125))
+        for k in range(125):
+            assert brute_force_count(f.curve(k), g.curve(k)) == \
+                all_pairs_oracle(f.curve(k), g.curve(k), 256), k
+
+    @pytest.mark.parametrize("M", [256, 257, 300])
+    def test_short_tail_chunk(self, M):
+        # 257 and 300 segments leave a last chunk of 1 and 4 segments at M
+        pairs = degree_one_fixtures()
+        pairs += [(p.f, p.g) for N in (1, 3) for p in (sample_pair(N, 0, SeedSpec(612, i))
+                                                        for i in range(8))]
+        for f, g in pairs:
+            assert brute_force_count(f, g, M) == all_pairs_oracle(f, g, M)
+
+    def test_circle_fixtures(self):
+        for f, g in degree_one_fixtures()[:5]:
+            for M in (256, 1024):
+                assert brute_force_count(f, g, M) == all_pairs_oracle(f, g, M)
+
+    @pytest.mark.parametrize("M", [256, 257, 300])
+    def test_strided_polylines_match_direct(self, M):
+        for N in range(9):
+            f, _ = sample_pairs(N, 0, 613, range(4))
+            for k in range(4):
+                arrays = CurveRows.stack([f.curve(k)]).arrays
+                fine = _closed_polylines(arrays, np.array([4 * M]))
+                for step in (4, 2):
+                    direct = _closed_polylines(arrays, np.array([4 * M // step]))
+                    assert all(np.array_equal(a[::step], b) for a, b in zip(fine, direct))
+
+    def test_memory_bounded_for_coincident_curves(self):
+        # f = g puts every segment box on top of its twin: the all-pairs
+        # filter's 2,048-row blocks peaked at about 26 MB here
+        pair = sample_pair(8, 0, SeedSpec(609, 0))
+        tracemalloc.start()
+        try:
+            brute_force_count(pair.f, pair.f, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestRandomPairs:
