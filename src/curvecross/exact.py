@@ -155,7 +155,6 @@ def mean_intersections_exact(N, r=0) -> MeanValue:
     L2 formula. This is the one-degree call of mean_intersections_range,
     where the formula is written.
     """
-    N = check_degree(N)
     return next(mean_intersections_range(N, N, r))[1]
 
 
