@@ -10,8 +10,9 @@ pairs the change won. Then 3 alternating pairs of processes time per-pair
 sampling, one-pair counting, block counting per cell at N 4 and 8, and the
 polyline oracle at N 1..3, and per call ``exact --sweep 1..200`` at r 0, 1
 and 2 and ``verify --N 1..3 --fiber-attempts 200000``, in each checkout's
-package (``MICRO``); each timing is the fastest over the processes. Last, each checkout's Tier-1
-test suite runs once, parent first, and its wall time is recorded.
+package (``MICRO``); each timing keeps every process's value, the pairs the
+change won and each side's fastest value. Last, each checkout's Tier-1 test
+suite runs once, parent first, and its wall time is recorded.
 
     python scripts/bench_pairs.py --parent ../parent --change . --out BENCH_2.json
 """
@@ -123,16 +124,26 @@ def micro(checkout: Path) -> dict:
 
 
 def micro_pairs(parent: Path, change: Path) -> dict:
-    """Fastest timings of each side over MICRO_PAIRS alternating pairs, as
-    {"per_pair": {side: ...}, "per_call": {side: ...}}."""
-    runs = {"parent": [], "change": []}
+    """Timings of MICRO_PAIRS alternating pairs of processes, as {"per_pair":
+    ..., "per_call": ...}: per timing, each side's per-process values, their
+    stats and the pairs the change won, as summarize gives them, and each
+    side's fastest value."""
+    rows = []
     for k in range(MICRO_PAIRS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(micro(parent if side == "parent" else change))
-    return {part: {side: {name: min(r[part][name] for r in rs) for name in rs[0][part]}
-                   for side, rs in runs.items()}
-            for part in ("per_pair", "per_call")}
+        if k % 2 == 0:
+            p, c = micro(parent), micro(change)
+        else:
+            c, p = micro(change), micro(parent)
+        rows.append((p, c))
+    out = {}
+    for part in ("per_pair", "per_call"):
+        names = rows[0][0][part]
+        timings = [({"metrics": p[part]}, {"metrics": c[part]}) for p, c in rows]
+        out[part] = summarize(timings, dict.fromkeys(names, "lower"), names)
+        for entry in out[part].values():
+            entry["parent_fastest"] = min(entry["parent"])
+            entry["change_fastest"] = min(entry["change"])
+    return out
 
 
 def tier1(checkout: Path) -> dict:
@@ -210,11 +221,12 @@ def notes(machine: dict) -> list:
         "count_intersections on one pair at N 1 and 2 (300 pre-sampled r=0 pairs, fastest of 7 "
         "passes), count_intersections_many per cell at N 4 and 8, r 0 and 1 (4 blocks of 64 "
         "pre-sampled pairs of seed 1, fastest of 5 passes) and brute_force_count at N 1..3 "
-        "(8 pre-sampled r=0 pairs, fastest of 3 passes); the value is the fastest over the "
-        "processes.",
+        "(8 pre-sampled r=0 pairs, fastest of 3 passes). Per timing: each process's value "
+        "per side, their stats, change_wins over the process pairs, and each side's fastest "
+        "value.",
         "micro_us_per_call: the same processes time the CLI's 'exact --sweep 1..200' at r 0, 1 "
         "and 2 and 'verify --N 1..3 --fiber-attempts 200000 --seed 0 --json', output captured, "
-        "fastest of 3 calls; the value is the fastest over the processes.",
+        "fastest of 3 calls; reported as micro_us_per_pair is.",
         "tier1: one run of each checkout's Tier-1 suite ('python -m pytest -q "
         "--continue-on-collection-errors' with the checkout's src on PYTHONPATH), parent first; "
         "one run per side, with nothing else alternating against it.",

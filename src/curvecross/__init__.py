@@ -9,25 +9,29 @@ integral behind the closed forms.
 
 __version__ = "0.1.0"
 
+# the calls of the command line, the scripts, the benchmark and the paper's
+# checks, with the types they construct or catch; returned records and
+# test-only helpers are reached through their modules
+__all__ = [
+    "SchemaError", "TrigCurve", "evaluate", "load_curve", "point_radius_bound", "save_curve",
+    "asymptote_ratio", "ball_volume_even", "lambda_sq", "mean_intersections_exact",
+    "metric_series_limits", "mu", "sobolev_limit_report", "tau",
+    "CountingConfig", "brute_force_count", "count_intersections",
+    "ExperimentConfig", "corollary2_check", "run_experiment",
+    "SeedSpec", "sample_max_norm_weighted_pair", "sample_pair", "sample_unit_ball_curve",
+    "QuadratureError", "assemble_mean_from_chain", "assembly_prefactors", "buffon_average",
+    "eight_integral", "fiber_mc_check", "k_of_A", "run_chain", "xi_closed_form", "xi_quadrature",
+]
+
 from .curves import (
-    PlanePoint,
     SchemaError,
     TrigCurve,
-    curve_from_json,
-    curve_to_json,
-    derivative,
     evaluate,
-    inner_product,
-    lipschitz_bound,
     load_curve,
-    norm,
     point_radius_bound,
     save_curve,
 )
 from .exact import (
-    BallVolume,
-    MeanValue,
-    SobolevLimitReport,
     asymptote_ratio,
     ball_volume_even,
     lambda_sq,
@@ -39,29 +43,21 @@ from .exact import (
 )
 from .intersect import (
     CountingConfig,
-    IntersectionResult,
     brute_force_count,
     count_intersections,
-    newton_refine,
-    segment_proper_cross,
 )
 from .montecarlo import (
     ExperimentConfig,
-    ExperimentResult,
     corollary2_check,
     run_experiment,
 )
 from .sampling import (
-    CurvePair,
     SeedSpec,
     sample_max_norm_weighted_pair,
     sample_pair,
     sample_unit_ball_curve,
 )
 from .chain import (
-    ChainReport,
-    ChainStep,
-    FiberCheckResult,
     QuadratureError,
     assemble_mean_from_chain,
     assembly_prefactors,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -52,94 +52,76 @@ class SchemaError(ValueError):
 _FIELDS = ("xa", "xb", "ya", "yb")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class TrigCurve:
-    """Coefficients of one curve: xa/ya are the cosine coefficient arrays
-    (constant term first, length N+1), xb/yb the sine arrays (length N)."""
+    """One curve, as a one-row view of a CurveRows block that holds it: xa/ya
+    are the cosine coefficient arrays (constant term first, length N+1),
+    xb/yb the sine arrays (length N), each a read-only view into the block.
+    The constructor validates the four arrays through CurveRows."""
 
-    degree: int
-    xa: np.ndarray
-    xb: np.ndarray
-    ya: np.ndarray
-    yb: np.ndarray
+    rows: CurveRows
 
-    def __post_init__(self):
-        n = check_degree(self.degree)
-        object.__setattr__(self, "degree", n)
-        arrays = [np.asarray(getattr(self, name), dtype=float) for name in _FIELDS]
-        for name, arr, length in zip(_FIELDS, arrays, (n + 1, n, n + 1, n)):
-            if arr.shape != (length,):
-                raise ValueError(
-                    f"{name} must have exactly {length} entries, got shape {arr.shape}")
-        # one private read-only copy; the four fields are views into it
-        flat = np.concatenate(arrays)
-        if not np.isfinite(flat).all():
-            bad = next(name for name, arr in zip(_FIELDS, arrays) if not np.isfinite(arr).all())
-            raise ValueError(f"{bad} contains non-finite entries")
-        flat.setflags(write=False)
-        object.__setattr__(self, "xa", flat[:n + 1])
-        object.__setattr__(self, "xb", flat[n + 1:2 * n + 1])
-        object.__setattr__(self, "ya", flat[2 * n + 1:3 * n + 2])
-        object.__setattr__(self, "yb", flat[3 * n + 2:])
+    def __init__(self, degree: int, xa, xb, ya, yb):
+        arrays = (np.asarray(a, dtype=float)[None] for a in (xa, xb, ya, yb))
+        object.__setattr__(self, "rows", CurveRows(degree, *arrays))
+
+    degree = property(lambda self: self.rows.degree)
+    xa = property(lambda self: self.rows.xa[0])
+    xb = property(lambda self: self.rows.xb[0])
+    ya = property(lambda self: self.rows.ya[0])
+    yb = property(lambda self: self.rows.yb[0])
 
     def __eq__(self, other):
         if not isinstance(other, TrigCurve):
             return NotImplemented
-        return self.degree == other.degree and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in _FIELDS
-        )
+        return np.array_equal(self.rows.block, other.rows.block)  # shapes differ across degrees
 
     @classmethod
     def zero(cls, degree: int) -> "TrigCurve":
         n = check_degree(degree)
         return cls(n, np.zeros(n + 1), np.zeros(n), np.zeros(n + 1), np.zeros(n))
 
-    def is_constant(self) -> bool:
-        return not (self.xa[1:].any() or self.xb.any() or self.ya[1:].any() or self.yb.any())
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CurveRows:
     """K curves of one degree as stacked coefficient rows: row k of the
     cosine arrays xa, ya (shape (K, N+1), constant term first) and of the
-    sine arrays xb, yb (shape (K, N)) is curve k. The block is validated
-    once, as a whole; the arrays are taken as given, not copied."""
+    sine arrays xb, yb (shape (K, N)) is curve k. The rows are validated
+    once, as a whole, into one private read-only array (block, shape
+    (K, 4N+2), the four arrays side by side); the four fields are views into
+    it."""
 
     degree: int
     xa: np.ndarray
     xb: np.ndarray
     ya: np.ndarray
     yb: np.ndarray
+    block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = check_degree(self.degree)
-        object.__setattr__(self, "degree", n)
         arrays = [np.asarray(getattr(self, name), dtype=float) for name in _FIELDS]
         rows = arrays[0].shape[0] if arrays[0].ndim == 2 else -1
         for name, arr, length in zip(_FIELDS, arrays, (n + 1, n, n + 1, n)):
             if arr.shape != (rows, length):
                 raise ValueError(f"{name} must have shape (K, {length}) with one K for all "
                                  f"four arrays, got shape {arr.shape}")
-        if not np.isfinite(np.concatenate(arrays, axis=1)).all():
+        block = np.concatenate(arrays, axis=1)
+        if not np.isfinite(block).all():
             bad = next(name for name, arr in zip(_FIELDS, arrays) if not np.isfinite(arr).all())
             raise ValueError(f"{bad} contains non-finite entries")
-        for name, arr in zip(_FIELDS, arrays):
-            object.__setattr__(self, name, arr)
+        _bind(self, n, block)
 
     @classmethod
     def stack(cls, curves) -> "CurveRows":
-        """The rows of a non-empty sequence of equal-degree curves. Each
-        TrigCurve was validated when it was made, so the block is not
-        validated again."""
+        """The rows of a non-empty sequence of equal-degree curves: one
+        concatenation of their one-row blocks, which were validated when
+        each curve was made and are not validated again."""
         degrees = {c.degree for c in curves}
         if len(degrees) != 1:
             raise ValueError(f"curves of different degrees in one stack: {sorted(degrees)}")
-        rows = object.__new__(cls)
-        object.__setattr__(rows, "degree", degrees.pop())
-        for name in _FIELDS:
-            object.__setattr__(rows, name, np.array([getattr(c, name) for c in curves]))
-        return rows
+        return _bind(object.__new__(cls), degrees.pop(),
+                     np.concatenate([c.rows.block for c in curves]))
 
     def __len__(self) -> int:
         return self.xa.shape[0]
@@ -150,11 +132,35 @@ class CurveRows:
         return self.xa, self.xb, self.ya, self.yb
 
     def curve(self, k: int) -> TrigCurve:
-        return TrigCurve(self.degree, self.xa[k], self.xb[k], self.ya[k], self.yb[k])
+        """Row k as a TrigCurve that views this block: no copy and no second
+        validation."""
+        c = object.__new__(TrigCurve)
+        object.__setattr__(c, "rows", _bind(object.__new__(CurveRows), self.degree,
+                                            self.block[k, None]))
+        return c
+
+    def __reduce__(self):
+        # a copy is rebuilt through the check, as read-only views of one block
+        return CurveRows, (self.degree, *self.arrays)
 
     def norms(self, r: int = 0) -> np.ndarray:
-        """Order-r norm of each row; row k's value equals norm(self.curve(k), r)."""
+        """Order-r norm of each row."""
         return np.sqrt(np.maximum(0.0, _inner_rows(self.arrays, self.arrays, check_order(r))))
+
+
+def _bind(rows: CurveRows, degree: int, block: np.ndarray) -> CurveRows:
+    """Point rows (a CurveRows) at a validated (K, 4N+2) block: the degree,
+    the block made read-only, and the four coefficient fields as views into
+    it. Returns rows."""
+    block.setflags(write=False)
+    n, put = degree, object.__setattr__
+    put(rows, "degree", n)
+    put(rows, "block", block)
+    put(rows, "xa", block[:, :n + 1])
+    put(rows, "xb", block[:, n + 1:2 * n + 1])
+    put(rows, "ya", block[:, 2 * n + 1:3 * n + 2])
+    put(rows, "yb", block[:, 3 * n + 2:])
+    return rows
 
 
 def horner(coefs, z) -> np.ndarray:
@@ -201,7 +207,7 @@ def evaluate_rows(xa, xb, ya, yb, phis, counts) -> tuple[np.ndarray, np.ndarray]
 
 def evaluate_many(c: TrigCurve, phis) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evaluation at an array of angles; returns (xs, ys)."""
-    return evaluate_rows(c.xa[None], c.xb[None], c.ya[None], c.yb[None], phis, np.size(phis))
+    return evaluate_rows(*c.rows.arrays, phis, np.size(phis))
 
 
 def evaluate(c: TrigCurve, phi: float) -> PlanePoint:
@@ -212,17 +218,12 @@ def evaluate(c: TrigCurve, phi: float) -> PlanePoint:
 
 
 def derivative(c: TrigCurve, phi: float) -> PlanePoint:
-    """Velocity (dx/dphi, dy/dphi) at the given angle: the curve with cosine
-    coefficients j*b_j, sine coefficients -j*a_j and no constant terms."""
+    """Velocity (dx/dphi, dy/dphi) at the given angle: -Im of the horner sum
+    with coefficients j*(a_j - i*b_j) at e^{i*phi}, as Newton takes it."""
     j = np.arange(1.0, c.degree + 1)
-    velocity = TrigCurve(
-        c.degree,
-        np.concatenate(([0.0], j * c.xb)),
-        -j * c.xa[1:],
-        np.concatenate(([0.0], j * c.yb)),
-        -j * c.ya[1:],
-    )
-    return evaluate(velocity, phi)
+    z = np.exp(1j * float(phi))
+    dx, dy = (-horner(j * (a[1:] - 1j * b), z).imag for a, b in ((c.xa, c.xb), (c.ya, c.yb)))
+    return PlanePoint(float(dx), float(dy))
 
 
 def _inner_rows(a, b, r: int) -> np.ndarray:
@@ -247,32 +248,29 @@ def inner_product(c1: TrigCurve, c2: TrigCurve, r: int = 0) -> float:
     order-r metric: weight 2 on constant terms, tau(j, r) on frequency j."""
     if c1.degree != c2.degree:
         raise ValueError(f"degree mismatch: {c1.degree} vs {c2.degree}")
-    r = check_order(r)
-    rows = [tuple(getattr(c, name)[None] for name in _FIELDS) for c in (c1, c2)]
-    return float(_inner_rows(*rows, r)[0])
+    return float(_inner_rows(c1.rows.arrays, c2.rows.arrays, check_order(r))[0])
 
 
 def norm(c: TrigCurve, r: int = 0) -> float:
-    return math.sqrt(max(0.0, inner_product(c, c, r)))
-
-
-def _speed_bound(xa, xb, ya, yb) -> float:
-    total = 0.0
-    for j in range(1, len(xa)):
-        total += j * (math.hypot(xa[j], xb[j - 1]) + math.hypot(ya[j], yb[j - 1]))
-    return total
-
-
-def lipschitz_bound(c: TrigCurve) -> float:
-    """A speed bound: |f(a) - f(b)| <= L |a - b| with
-    L = sum_j j * (hypot(xa_j, xb_j) + hypot(ya_j, yb_j))."""
-    return _speed_bound(c.xa.tolist(), c.xb.tolist(), c.ya.tolist(), c.yb.tolist())
+    return float(c.rows.norms(r)[0])
 
 
 def lipschitz_bounds(rows: CurveRows) -> list[float]:
-    """lipschitz_bound of each row, by the same scalar arithmetic."""
-    return [_speed_bound(xa, xb, ya, yb) for xa, xb, ya, yb in
-            zip(rows.xa.tolist(), rows.xb.tolist(), rows.ya.tolist(), rows.yb.tolist())]
+    """A speed bound of each row: |f(a) - f(b)| <= L |a - b| with
+    L = sum_j j * (hypot(xa_j, xb_j) + hypot(ya_j, yb_j)), in scalar
+    arithmetic, so a row's bound does not depend on the other rows."""
+    bounds = []
+    for xa, xb, ya, yb in zip(*(a.tolist() for a in rows.arrays)):
+        total = 0.0
+        for j in range(1, len(xa)):
+            total += j * (math.hypot(xa[j], xb[j - 1]) + math.hypot(ya[j], yb[j - 1]))
+        bounds.append(total)
+    return bounds
+
+
+def lipschitz_bound(c: TrigCurve) -> float:
+    """lipschitz_bounds of the curve's one row."""
+    return lipschitz_bounds(c.rows)[0]
 
 
 @lru_cache(maxsize=None)
@@ -319,6 +317,9 @@ def _number_list(doc: dict, key: str, length: int, where: str) -> list[float]:
     for i, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SchemaError(f"{where}: {key}[{i}] is not a number")
+        # nan, inf, and the integers that float() rounds past the largest float
+        if not abs(v) < 2 ** 1024 - 2 ** 970:
+            raise SchemaError(f"{where}: {key}[{i}] is not finite as a float")
     return [float(v) for v in values]
 
 

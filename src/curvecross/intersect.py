@@ -17,13 +17,13 @@ j*(a_j - i*b_j).
 
 The pairs come as two ``curves.CurveRows`` blocks, row k of f against row k
 of g (``count_intersections_many``); ``count_intersections`` is its one-pair
-call on two ``TrigCurve`` objects. Every stage treats each pair apart from
-the others: candidates are tested on the unshifted boxes together with a
-same-pair test, each value's Horner sum runs element by element in an order
-fixed by the degree, and dedup compares roots of one pair only. A pair's
-result is therefore bit-identical whether it is counted alone or in any
-block. A block holds at most ``_BLOCK_VERTICES`` polyline vertices, which
-bounds its arrays.
+call, on the one-row blocks that two curves view. Every stage treats each
+pair apart from the others: candidates are tested on the unshifted boxes
+together with a same-pair test, each value's Horner sum runs element by
+element in an order fixed by the degree, and dedup compares roots of one
+pair only. A pair's result is therefore bit-identical whether it is counted
+alone or in any block. A block holds at most ``_BLOCK_VERTICES`` polyline
+vertices, which bounds its arrays.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def newton_refine(f: TrigCurve, g: TrigCurve, phi0: float, psi0: float,
     if f.degree != g.degree:
         raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     cfg = cfg or CountingConfig()
-    rows, offset = _pair_matrix(CurveRows.stack([f]).arrays, CurveRows.stack([g]).arrays)
+    rows, offset = _pair_matrix(f.rows.arrays, g.rows.arrays)
     phi, psi, det, ok = _newton_batch(rows, offset, [float(phi0)], [float(psi0)],
                                       _res_tol(f.degree, cfg), cfg)
     return (float(phi[0]), float(psi[0]), float(det[0])) if ok[0] else None
@@ -403,7 +403,7 @@ def _blocks(live):
 def count_intersections(f: TrigCurve, g: TrigCurve,
                         cfg: CountingConfig | None = None) -> IntersectionResult:
     """Count the solutions of f(phi) = g(psi) on the parameter torus."""
-    return count_intersections_many(CurveRows.stack([f]), CurveRows.stack([g]), cfg)[0]
+    return count_intersections_many(f.rows, g.rows, cfg)[0]
 
 
 def _segment_boxes(xs: np.ndarray, ys: np.ndarray):
@@ -473,8 +473,8 @@ def brute_force_count(f: TrigCurve, g: TrigCurve, M: int = 256) -> tuple[int, bo
     """
     if M < 256:
         raise ValueError("oracle resolution must be at least 256 vertices")
-    fx, fy = _closed_polylines(CurveRows.stack([f]).arrays, np.array([4 * M]))
-    gx, gy = _closed_polylines(CurveRows.stack([g]).arrays, np.array([4 * M]))
+    fx, fy = _closed_polylines(f.rows.arrays, np.array([4 * M]))
+    gx, gy = _closed_polylines(g.rows.arrays, np.array([4 * M]))
     counts = [_polyline_cross_count(fx[::s], fy[::s], gx[::s], gy[::s]) for s in (4, 2, 1)]
     stable = counts[0] == counts[1] == counts[2]
     return counts[2], stable

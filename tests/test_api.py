@@ -1,5 +1,6 @@
 """API hygiene of the package, read from its source with ast: modules import
-only public names from each other, and every exported name exists."""
+only public names from each other, every exported name exists, and the
+package exports a fixed list of names."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,24 @@ def test_package_imports_exist():
     missing = [f"{mod}.{name}" for mod, name in imported
                if name not in _defined_names(PACKAGE / f"{mod}.py")]
     assert missing == []
+
+
+# the calls of the command line, the scripts, the benchmark and the paper's
+# checks, with the types they construct or catch; a name added to or dropped
+# from the package's exports shows here
+PACKAGE_API = [
+    "CountingConfig", "ExperimentConfig", "QuadratureError", "SchemaError", "SeedSpec",
+    "TrigCurve", "assemble_mean_from_chain", "assembly_prefactors", "asymptote_ratio",
+    "ball_volume_even", "brute_force_count", "buffon_average", "corollary2_check",
+    "count_intersections", "eight_integral", "evaluate", "fiber_mc_check", "k_of_A", "lambda_sq",
+    "load_curve", "mean_intersections_exact", "metric_series_limits", "mu", "point_radius_bound",
+    "run_chain", "run_experiment", "sample_max_norm_weighted_pair", "sample_pair",
+    "sample_unit_ball_curve", "save_curve", "sobolev_limit_report", "tau", "xi_closed_form",
+    "xi_quadrature",
+]
+
+
+def test_package_api_pinned():
+    init = PACKAGE / "__init__.py"
+    assert sorted(_all_entries(init)) == PACKAGE_API
+    assert sorted(name for _, name in _relative_imports(init)) == PACKAGE_API

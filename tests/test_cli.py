@@ -181,6 +181,17 @@ class TestCount:
         assert code == EXIT_IO
         assert "schema error" in err
 
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400", "-1e400", "NaN"])
+    def test_coefficient_beyond_float_range(self, capsys, tmp_path, literal):
+        # an integer too large for a float overflowed uncaught; 1e400 and NaN
+        # parsed to inf and nan and exited 1 as usage errors
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"degree": 1, "r": 0, "x": {"a": [0, %s], "b": [0]}, '
+                       '"y": {"a": [0, 0], "b": [1]}}' % literal)
+        code, _, err = run_cli(capsys, "count", str(bad), str(bad))
+        assert code == EXIT_IO
+        assert 'schema error: "x": a[1] is not finite as a float' in err
+
 
 class TestSimulate:
     def test_summary_contract_and_determinism(self, capsys, tmp_path):

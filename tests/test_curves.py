@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -24,7 +25,7 @@ from curvecross.curves import (
     point_radius_bound,
     save_curve,
 )
-from curvecross.sampling import SeedSpec, sample_unit_ball_curve
+from curvecross.sampling import SeedSpec, sample_pairs, sample_unit_ball_curve
 
 from _support import curve_axpy, scalar_coordinate, trig_curves, unit_circle
 
@@ -241,7 +242,7 @@ class TestPointRadiusBound:
 
 class TestValidation:
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="entries"):
+        with pytest.raises(ValueError, match="xa must have shape"):
             TrigCurve(2, [0, 0], [0, 0], [0, 0, 0], [0, 0])
 
     def test_non_finite(self):
@@ -256,6 +257,31 @@ class TestValidation:
         c = unit_circle()
         with pytest.raises(ValueError):
             c.xa[0] = 5.0
+
+    @pytest.mark.parametrize("source", ["sampled", "by_hand", "stacked", "copied"])
+    def test_fields_read_only(self, source):
+        # a validated block cannot take a NaN afterwards, and a curve of the
+        # block views its row rather than copying it
+        if source == "copied":
+            rows = copy.deepcopy(sample_pairs(2, 0, 73, range(3))[0])
+            assert rows.block.tolist() == sample_pairs(2, 0, 73, range(3))[0].block.tolist()
+        elif source == "sampled":
+            rows = sample_pairs(2, 0, 73, range(3))[0]
+        elif source == "by_hand":
+            arrays = [np.ones((3, n)) for n in (3, 2, 3, 2)]
+            rows = CurveRows(2, *arrays)
+            arrays[0][0, 0] = math.nan  # the caller's arrays stay its own
+            assert np.isfinite(rows.xa).all()
+        else:
+            rows = CurveRows.stack([unit_circle(), unit_circle()])
+        assert all(np.shares_memory(a, rows.block) for a in rows.arrays)
+        for a in (*rows.arrays, rows.block):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = math.nan
+        for k in range(len(rows)):
+            c = rows.curve(k)
+            assert all(np.shares_memory(a, b) for a, b in zip(rows.arrays, c.rows.arrays))
+            assert np.shares_memory(rows.xa, c.xa)
 
 
 class TestJson:
@@ -291,6 +317,10 @@ class TestJson:
             ('{"degree": 1, "r": 0, "x": {"a": [0], "b": []}, "y": {"a": [0, 0], "b": [0]}}', "'a' must have 2 entries"),
             ('{"degree": 1, "x": {"a": [0, 0], "b": [0]}, "y": {"a": [0, 0], "b": [0]}}', "missing key 'r'"),
             ('{"degree": 1, "r": 0, "x": {"a": [0, "x"], "b": [0]}, "y": {"a": [0, 0], "b": [0]}}', "not a number"),
+            ('{"degree": 1, "r": 0, "x": {"a": [0, 0], "b": [0]}, "y": {"a": [0, 1%s], "b": [0]}}'
+             % ("0" * 400), r'"y": a\[1\] is not finite as a float'),
+            ('{"degree": 1, "r": 0, "x": {"a": [0, 0], "b": [1e400]}, "y": {"a": [0, 0], "b": [0]}}',
+             r'"x": b\[0\] is not finite as a float'),
         ],
     )
     def test_schema_errors(self, text, fragment):
