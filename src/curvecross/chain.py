@@ -291,8 +291,11 @@ def run_chain(N_values=(1, 2, 3), xi_grid_size: int = 10,
     """Run every chain step for the given degrees and report the errors.
 
     fiber_attempts > 0 adds the (slower) slice Monte Carlo step; its pass
-    tolerance is 3 standard errors.
+    tolerance is 3 standard errors. A negative fiber_attempts is a
+    ValueError.
     """
+    if fiber_attempts < 0:
+        raise ValueError(f"fiber_attempts must be >= 0, got {fiber_attempts}")
     report = ChainReport()
     report.add("buffon_mean_abs_sin", 2.0 / math.pi, buffon_average(), _TOL_BUFFON)
     for N in N_values:

@@ -111,6 +111,8 @@ def _mean_json(mv) -> dict:
 
 def cmd_exact(args) -> int:
     r = check_order(args.r)
+    if args.sweep is not None and args.N is not None:
+        raise UsageError("give --N or --sweep, not both")
     if args.sweep is not None:
         ns = _parse_range(args.sweep)
         buf = ["N,numerator,denominator,approx,asymptote_ratio"]

@@ -3,7 +3,8 @@
 Everything here is big-integer / rational arithmetic (``fractions.Fraction``);
 floats appear only as round-to-nearest conveniences attached to exact values.
 The mean's formula is written once, in ``mean_intersections_range``, which
-walks a range of degrees with lambda_sq and mu as running sums;
+walks a range of degrees with lambda_sq and mu as running sums and the
+factorial part as a running ratio, one small exact factor per degree;
 ``mean_intersections_exact`` is its one-degree call.
 """
 
@@ -13,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -61,17 +63,22 @@ def tau(j, r=0) -> int:
     return sum(jsq**q for q in range(r + 1))
 
 
+@lru_cache(maxsize=None)
 def mu(N, r=0) -> Fraction:
-    """Effective dimension count 1 + 2*sum_{j<=N} 1/tau(j); equals 2N+1 at r=0."""
+    """Effective dimension count 1 + 2*sum_{j<=N} 1/tau(j); equals 2N+1 at r=0.
+
+    Memoized: the chain reads it at every quadrature node."""
     N = check_degree(N)
     r = check_order(r)
     return Fraction(1) + 2 * sum((Fraction(1, tau(j, r)) for j in range(1, N + 1)), Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def lambda_sq(N, r=0) -> Fraction:
     """Squared norm of the initial-velocity functional: sum_{j<=N} j^2/tau(j).
 
-    At r=0 this is the square pyramidal number 1 + 4 + ... + N^2.
+    At r=0 this is the square pyramidal number 1 + 4 + ... + N^2. Memoized,
+    as mu is.
     """
     N = check_degree(N)
     r = check_order(r)
@@ -121,11 +128,23 @@ class MeanValue:
 def mean_intersections_range(lo, hi, r=0):
     """Yield (N, mean_intersections_exact(N, r)) for N = lo, lo + 1, ..., hi.
 
-    lambda_sq and mu are carried as running sums, one term each per degree,
-    so a sweep costs one Fraction addition per sum per degree rather than a
-    fresh sum at every N. Fractions are kept normalized, so each value is the
-    same rational as the formula on lambda_sq(N, r) and mu(N, r) gives, and
-    MeanValue.from_exact rounds it the same way.
+    The mean is R_N * lambda_sq(N, r) * (2N+1) / mu(N, r) with the factorial
+    part
+
+        R_N = 2^(8N+3) * ((2N)!)^4 / ((4N+1)!)^2.
+
+    lambda_sq and mu are carried as running sums, one term each per degree.
+    R is built from the factorials once, at N = lo, so a one-degree call
+    costs what the formula does; each later degree multiplies it by
+
+        R_N / R_(N-1) = 2^8 * ((2N-1)(2N))^4 / ((4N-2)(4N-1)(4N)(4N+1))^2
+                      = ((4N-2)(4N) / ((4N-1)(4N+1)))^2,
+
+    using (2N-1)(2N) = (4N-2)(4N)/4, whose 4^4 cancels the 2^8. That step
+    has small numerator and denominator, so it only takes gcds against small
+    integers. Fractions are kept normalized, so each value is the same
+    rational as the formula on the factorials, lambda_sq(N, r) and mu(N, r)
+    gives, and MeanValue.from_exact rounds it the same way.
     """
     lo, hi, r = check_degree(lo), check_degree(hi), check_order(r)
     lam, mu_N = Fraction(0), Fraction(1)  # lambda_sq(N, r) and mu(N, r) at N = 0
@@ -134,15 +153,12 @@ def mean_intersections_range(lo, hi, r=0):
             t = tau(N, r)
             lam += Fraction(N * N, t)
             mu_N += Fraction(2, t)
+        if N == lo:
+            R = Fraction(2 ** (8 * N + 3) * factorial(2 * N) ** 4, factorial(4 * N + 1) ** 2)
+        elif N > lo:
+            R *= Fraction((4 * N - 2) * 4 * N, (4 * N - 1) * (4 * N + 1)) ** 2
         if N >= lo:
-            value = (
-                Fraction(2) ** (8 * N + 3)
-                * lam
-                * factorial(2 * N) ** 4
-                * (2 * N + 1)
-                / (mu_N * factorial(4 * N + 1) ** 2)
-            )
-            yield N, MeanValue.from_exact(value)
+            yield N, MeanValue.from_exact(R * lam * (2 * N + 1) / mu_N)
 
 
 def mean_intersections_exact(N, r=0) -> MeanValue:
@@ -267,7 +283,8 @@ class SobolevLimitReport:
 def sobolev_limit_report(r, N_list) -> SobolevLimitReport:
     """Tabulate the exact mean over N_list and, for r >= 2, the candidate
     limit 2*pi*lambda_sq(inf)/mu(inf) with its ratios against the two scales
-    2*pi/r^2 and 2*pi/(r+1).
+    2*pi/r^2 and 2*pi/(r+1). The rows come from one walk of
+    mean_intersections_range from the first listed degree to the last.
 
     Which of the two scales the large-r limits actually follow is left to the
     reader of the report; nothing here asserts either.
@@ -278,7 +295,8 @@ def sobolev_limit_report(r, N_list) -> SobolevLimitReport:
     ns = [check_degree(N) for N in N_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("N_list must be non-empty and strictly ascending")
-    rows = tuple((N, mean_intersections_exact(N, r)) for N in ns)
+    wanted = set(ns)
+    rows = tuple(row for row in mean_intersections_range(ns[0], ns[-1], r) if row[0] in wanted)
     if r >= 2:
         lam_inf, mu_inf = metric_series_limits(r)
         limit = 2.0 * math.pi * lam_inf / mu_inf

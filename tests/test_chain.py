@@ -176,6 +176,10 @@ class TestRunChain:
         assert any(s.name == "fiber_mc_N1" for s in report.steps)
         assert report.passed
 
+    def test_rejects_negative_fiber_attempts(self):
+        with pytest.raises(ValueError, match="fiber_attempts"):
+            run_chain((1,), fiber_attempts=-5)
+
     def test_table_renders(self):
         table = run_chain((1,)).format_table()
         assert "assembled_mean_N1" in table and "ok" in table

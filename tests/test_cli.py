@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -61,6 +62,12 @@ class TestExact:
         code, _, _ = run_cli(capsys, "exact", "--N", "-3")
         assert code == EXIT_USAGE
 
+    def test_rejects_both_targets(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--N", "3", "--sweep", "1..2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not both" in err
+
 
 @contextmanager
 def long_int_strings():
@@ -79,7 +86,24 @@ def sweep_rows(out: str) -> list[list[str]]:
     return [line.split(",") for line in lines[1:]]
 
 
+# sha256 of the CSV that `exact --sweep` prints, recorded when every row
+# still multiplied out its own factorials: the rows are exact rationals in
+# lowest terms, so they must not change by a byte
+SWEEP_SHA256 = {
+    ("1..300", 0): "3abaf0f733be4a5a01e466ba026261f13bc328f9f8753b44da1af3bd91c83808",
+    ("1..300", 1): "55018be286c9f0dd9c71e277e9cc664bd5e78645355d6780e0e396837750017f",
+    ("1..300", 2): "27af844370a94620bb86efa0679d2827729b644d4eeabc3c720724841d7b8135",
+    ("998..1000", 1): "ce266d0dcef9b41b7542428370b9a26c90a60a30f3824b9ab088404da0dd5826",
+}
+
+
 class TestExactSweep:
+    @pytest.mark.parametrize("span, r", sorted(SWEEP_SHA256))
+    def test_output_is_pinned(self, capsys, span, r):
+        code, out, _ = run_cli(capsys, "exact", "--sweep", span, "--r", str(r))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[span, r]
+
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     @pytest.mark.parametrize("span", ["0..40", "1..40", "37..60", "23"])
     def test_rows_match_one_degree_calls(self, capsys, span, r):
@@ -260,6 +284,13 @@ class TestVerify:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--N", "3..1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("attempts", ["-5", "-1"])
+    def test_rejects_negative_slice_draws(self, capsys, attempts):
+        code, out, err = run_cli(capsys, "verify", "--N", "1", "--fiber-attempts", attempts)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and "fiber_attempts" in err
 
     @pytest.mark.parametrize("seed,accepted", [(1, 1), (6, 0)])
     def test_too_few_slice_draws(self, capsys, seed, accepted):

@@ -67,6 +67,10 @@ class TestMu:
         for N in range(101):
             assert mu(N, 0) == 2 * N + 1
 
+    def test_memoized(self):
+        assert mu(17, 2) is mu(17, 2)
+        assert mu(17, 2) == 1 + 2 * sum(Fraction(1, tau(j, 2)) for j in range(1, 18))
+
 
 class TestLambdaSq:
     def test_square_sum(self):
@@ -81,6 +85,10 @@ class TestLambdaSq:
     def test_pyramidal_identity_up_to_100(self):
         for N in range(101):
             assert lambda_sq(N, 0) == Fraction(N * (N + 1) * (2 * N + 1), 6)
+
+    def test_memoized(self):
+        assert lambda_sq(17, 2) is lambda_sq(17, 2)
+        assert lambda_sq(17, 2) == sum(Fraction(j * j, tau(j, 2)) for j in range(1, 18))
 
 
 class TestBallVolume:
@@ -145,12 +153,23 @@ class TestMeanExact:
         mv = mean_intersections_exact(N, r)
         assert mv.approx == mv.exact.numerator / mv.exact.denominator
 
+    @pytest.mark.parametrize("N", [300, 1000])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_high_degree_matches_factorial_formula(self, N, r):
+        mv = mean_intersections_exact(N, r)
+        assert mv.exact == closed_form(N, r)
+        assert mv.approx == mv.exact.numerator / mv.exact.denominator
+        if r == 0:
+            assert mv.exact == eq6_closed_form(N)
+
     def test_mean_value_from_exact(self):
         mv = MeanValue.from_exact(Fraction(10**400, 3 * 10**400))
         assert mv.approx == pytest.approx(1 / 3, rel=1e-15)
 
 
-SWEEP_RANGES = [(0, 40), (1, 40), (37, 60), (23, 23)]
+# (295, 300) seeds the factorial ratio at 295 and steps it to the top of
+# the benchmark's 1..300 sweep
+SWEEP_RANGES = [(0, 40), (1, 40), (37, 60), (23, 23), (295, 300)]
 
 
 class TestMeanRange:
@@ -234,6 +253,12 @@ class TestSobolevLimitReport:
         for N, mv in rep.rows:
             assert mv.exact == closed_form(N, r)
             assert mv.approx == mv.exact.numerator / mv.exact.denominator
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("ns", [[25, 50, 100], [25, 50, 75, 100]])
+    def test_rows_equal_one_degree_calls(self, r, ns):
+        rep = sobolev_limit_report(r, ns)
+        assert rep.rows == tuple((N, mean_intersections_exact(N, r)) for N in ns)
 
     def test_first_order_grows_linearly(self):
         rep = sobolev_limit_report(1, [10, 20, 40])
