@@ -169,7 +169,8 @@ def mean_intersections_exact(N, r=0) -> MeanValue:
 
     At r=0 the factor (2N+1)/mu(N) is 1 and the value reduces to the plain
     L2 formula. This is the one-degree call of mean_intersections_range,
-    where the formula is written.
+    where the formula is written; it builds the factorials once and takes
+    no step.
     """
     return next(mean_intersections_range(N, N, r))[1]
 
@@ -295,8 +296,7 @@ def sobolev_limit_report(r, N_list) -> SobolevLimitReport:
     ns = [check_degree(N) for N in N_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("N_list must be non-empty and strictly ascending")
-    wanted = set(ns)
-    rows = tuple(row for row in mean_intersections_range(ns[0], ns[-1], r) if row[0] in wanted)
+    rows = tuple(row for row in mean_intersections_range(ns[0], ns[-1], r) if row[0] in ns)
     if r >= 2:
         lam_inf, mu_inf = metric_series_limits(r)
         limit = 2.0 * math.pi * lam_inf / mu_inf
