@@ -9,9 +9,10 @@ workload and metric, each side's runs, median and quartiles and how many
 pairs the change won. Then 3 alternating pairs of processes time per-pair
 sampling, one-pair counting, block counting per cell at N 4 and 8, and the
 polyline oracle at N 1..3, and per call ``exact --sweep 1..200`` at r 0, 1
-and 2 and ``verify --N 1..3 --fiber-attempts 200000``, in each checkout's
-package (``MICRO``); each timing keeps every process's value, the pairs the
-change won and each side's fastest value. Last, each checkout's Tier-1 test
+and 2, ``verify --N 1..3 --fiber-attempts 200000`` and the slice Monte
+Carlo ``fiber_mc_check`` at N 1..3 with 200,000 attempts, in each
+checkout's package (``MICRO``); each timing keeps every process's value,
+the pairs the change won and each side's fastest value. Last, each checkout's Tier-1 test
 suite runs once, parent first, and its wall time is recorded.
 
     python scripts/bench_pairs.py --parent ../parent --change . --out BENCH_2.json
@@ -46,9 +47,11 @@ MICRO_PAIRS = 3
 # traced report lacks for the block counter; brute_force_count on 8
 # pre-sampled r=0 pairs at N 1..3 (fastest of 3 passes). Microseconds per
 # call: the CLI's `exact --sweep 1..200` at r 0, 1 and 2 and `verify --N 1..3
-# --fiber-attempts 200000 --seed 0 --json`, output captured (fastest of 3).
+# --fiber-attempts 200000 --seed 0 --json`, output captured, and
+# fiber_mc_check(N, 200000, SeedSpec(0)) at N 1..3 (fastest of 3).
 MICRO = r"""
 import contextlib, io, json, time, timeit
+import curvecross.chain as Ch
 import curvecross.cli as C
 import curvecross.sampling as S
 import curvecross.intersect as I
@@ -95,6 +98,9 @@ for r in (0, 1, 2):
     calls[f"exact_sweep_1..200_r{r}"] = fastest(lambda: cli(argv), 3) * 1e6
 argv = ["verify", "--N", "1..3", "--fiber-attempts", "200000", "--seed", "0", "--json"]
 calls["verify_N1..3_fiber200000"] = fastest(lambda: cli(argv), 3) * 1e6
+for N in (1, 2, 3):
+    calls[f"fiber_mc_check_N{N}"] = fastest(
+        lambda: Ch.fiber_mc_check(N, 200_000, S.SeedSpec(0)), 3) * 1e6
 print(json.dumps({"per_pair": out, "per_call": calls}))
 """
 
@@ -226,7 +232,8 @@ def notes(machine: dict) -> list:
         "value.",
         "micro_us_per_call: the same processes time the CLI's 'exact --sweep 1..200' at r 0, 1 "
         "and 2 and 'verify --N 1..3 --fiber-attempts 200000 --seed 0 --json', output captured, "
-        "fastest of 3 calls; reported as micro_us_per_pair is.",
+        "and fiber_mc_check(N, 200000, SeedSpec(0)) at N 1..3, fastest of 3 calls; reported "
+        "as micro_us_per_pair is.",
         "tier1: one run of each checkout's Tier-1 suite ('python -m pytest -q "
         "--continue-on-collection-errors' with the checkout's src on PYTHONPATH), parent first; "
         "one run per side, with nothing else alternating against it.",

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from math import lgamma
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 
 from .curves import point_radius_bound
-from .exact import ball_volume_even, lambda_sq, mean_intersections_exact, mu
-from .sampling import SeedSpec, fiber_candidates, fiber_speed_dets
+from .exact import ball_volume_even, check_degree, lambda_sq, mean_intersections_exact, mu
+from .sampling import SeedSpec
 
 _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
@@ -29,6 +30,7 @@ __all__ = [
     "ChainStep",
     "ChainReport",
     "FiberCheckResult",
+    "SliceAttempts",
     "k_of_A",
     "xi_closed_form",
     "xi_quadrature",
@@ -36,6 +38,7 @@ __all__ = [
     "buffon_average",
     "assembly_prefactors",
     "assemble_mean_from_chain",
+    "slice_attempts",
     "fiber_mc_check",
     "run_chain",
 ]
@@ -173,6 +176,47 @@ class FiberCheckResult:
         return self.accepted / self.attempts
 
 
+class SliceAttempts(NamedTuple):
+    """Attempts of the slice Monte Carlo in reduced coordinates (see
+    fiber_mc_check). coords has rows G1, G2, G3, G4, Q_f, Q_g, S and one
+    column per attempt, whose point is k times the Gaussian they describe,
+    k^2 = k_sq; sq_f and sq_g are |z_f|^2 and |z_g|^2, dets is
+    |det(f'(0), g'(0))| and inside marks the attempts with both curves in
+    the unit ball."""
+
+    coords: np.ndarray
+    k_sq: np.ndarray
+    sq_f: np.ndarray
+    sq_g: np.ndarray
+    dets: np.ndarray
+    inside: np.ndarray
+
+
+def slice_attempts(N: int, rng: np.random.Generator, count: int) -> SliceAttempts:
+    """count uniform points of the radius-sqrt(2) ball of the slice
+    {f(0) = g(0)} (r=0), each from eight numbers: four normals, two
+    Gamma(2N-1), one exponential and one uniform, drawn in that order."""
+    N = check_degree(N)
+    if N < 1:
+        raise ValueError("the slice construction needs N >= 1")
+    coords = np.empty((7, count))
+    g1, g2, g3, g4, q_f, q_g, s = coords
+    rng.standard_normal(out=coords[:4])
+    rng.standard_gamma(2 * N - 1, out=coords[4:6])
+    rng.standard_exponential(out=s)
+    coords[4:] *= 2.0  # chi^2(2m) is 2 Gamma(m), and chi^2(2) is 2 Exp(1)
+    half_s = 0.5 * s
+    g_f = g1 * g1 + g2 * g2 + q_f + half_s  # |G|^2 within each block
+    g_g = g3 * g3 + g4 * g4 + q_g + half_s
+    total = g_f + g_g
+    total[total == 0.0] = 1.0
+    k_sq = 2.0 * rng.random(count) ** (2.0 / (8 * N + 2)) / total
+    sq_f = k_sq * g_f
+    sq_g = k_sq * g_g
+    dets = float(lambda_sq(N, 0)) * k_sq * np.abs(g1 * g4 - g2 * g3)
+    return SliceAttempts(coords, k_sq, sq_f, sq_g, dets, (sq_f <= 1.0) & (sq_g <= 1.0))
+
+
 def fiber_mc_check(N: int, samples: int, seed: SeedSpec) -> FiberCheckResult:
     """Monte Carlo reconstruction of the mean from the point-coincidence slice.
 
@@ -181,21 +225,48 @@ def fiber_mc_check(N: int, samples: int, seed: SeedSpec) -> FiberCheckResult:
     itself estimated as acceptance_rate x volume of the radius-sqrt(2) ball
     of the slice; then scales by the torus volume over the product-ball
     volume. The two Monte Carlo factors contribute independent relative
-    standard errors.
+    standard errors. Degree N draws from the stream seed.rng(N), so the
+    degrees of one run are independent checks.
+
+    The draws never build the (8N+2)-dimensional point. In isometric pair
+    coordinates z = (z_f, z_g), each block of dimension 4N+2 (constants
+    times sqrt(2), then (a_j, b_j, c_j, d_j) per frequency j), the
+    constraint f(0) = g(0) reads n_x.z_f = n_x.z_g and n_y.z_f = n_y.z_g,
+    where n_x has 1/sqrt(2) on the x constant and 1 on every x cosine
+    coefficient (n_y the same for y), so |n_x|^2 = |n_y|^2 = (2N+1)/2. The
+    speeds f'(0) = (w_x.z_f, w_y.z_f), with w_x = j on the x sine
+    coefficient of frequency j (w_y the same for y), so |w_x|^2 = |w_y|^2 =
+    lambda_sq(N) = 1 + 4 + ... + N^2. The w's live on sine coordinates and
+    the n's on cosine coordinates and constants, so each w is orthogonal to
+    both constraints, and the slice splits orthogonally into:
+
+    - the f block minus n_x, n_y (dimension 4N), holding the unit speed
+      directions w_x/|w_x|, w_y/|w_y| and a rest of dimension 4N-2;
+    - the same in the g block;
+    - the plane spanned by (n_x, n_x) and (n_y, n_y), normalized, which
+      puts half of its squared length into each block.
+
+    A standard Gaussian G on the slice has coordinates G1, G2 along f's unit
+    speed directions and G3, G4 along g's, squared rests Q_f, Q_g ~
+    chi^2(4N-2) and squared shared part S ~ chi^2(2), all independent. The
+    uniform point of the radius-sqrt(2) ball is k*G with k^2 = 2 U^(2/d) /
+    |G|^2, d = 8N+2 (slice_attempts), so |z_f|^2 = k^2 (G1^2 + G2^2 + Q_f +
+    S/2), |z_g|^2 the same with G3, G4, Q_g, and |det(f'(0), g'(0))| =
+    lambda_sq(N) k^2 |G1 G4 - G2 G3|.
     """
     if not 1 <= N <= 3:
         raise ValueError("rejection budget is sized for 1 <= N <= 3")
     if samples < 2:
         raise ValueError("need at least 2 attempts")
-    rng = seed.rng()
+    rng = seed.rng(N)
     batch = 1 << 13
     n_acc = 0
     s1 = 0.0
     s2 = 0.0
     for lo in range(0, samples, batch):
-        z, inside = fiber_candidates(N, rng, min(batch, samples - lo))
-        dets = fiber_speed_dets(N, z[inside])
-        n_acc += int(inside.sum())
+        draws = slice_attempts(N, rng, min(batch, samples - lo))
+        dets = draws.dets[draws.inside]
+        n_acc += dets.size
         s1 += float(dets.sum())
         s2 += float(np.dot(dets, dets))
     if n_acc < 2:

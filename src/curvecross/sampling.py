@@ -35,8 +35,6 @@ __all__ = [
     "sample_pairs",
     "sample_max_norm_weighted_pair",
     "sample_max_norm_weighted_pairs",
-    "fiber_candidates",
-    "fiber_speed_dets",
 ]
 
 
@@ -316,79 +314,3 @@ def sample_max_norm_weighted_pair(N: int, r: int, k: float, seed: SeedSpec) -> C
     """The pair of sample_max_norm_weighted_pairs for one SeedSpec."""
     f, g = sample_max_norm_weighted_pairs(N, r, k, seed.master_seed, [seed.stream_index])
     return CurvePair(f.curve(0), g.curve(0))
-
-
-# ---------------------------------------------------------------------------
-# The point-coincidence slice {f(0) = g(0)} of pair space (plain L2 metric).
-
-@lru_cache(maxsize=None)
-def _fiber_frame(N: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of the slice {f(0) = g(0)} inside the
-    isometric pair coordinates, built by Gram-Schmidt: the two constraint
-    normals first, then completed from the standard basis.
-    """
-    half = 4 * N + 2
-    dim = 2 * half
-    n1 = np.zeros(dim)
-    n2 = np.zeros(dim)
-    inv_sqrt2 = 1.0 / _SQRT2
-    n1[0] = inv_sqrt2
-    n2[1] = inv_sqrt2
-    n1[half] = -inv_sqrt2
-    n2[half + 1] = -inv_sqrt2
-    for j in range(1, N + 1):
-        base = 2 + 4 * (j - 1)
-        n1[base] = 1.0  # x cosine coefficients enter f(0).x with weight 1 at r=0
-        n2[base + 2] = 1.0
-        n1[half + base] = -1.0
-        n2[half + base + 2] = -1.0
-    vecs = [n1 / np.linalg.norm(n1), n2 / np.linalg.norm(n2)]
-    for i in range(dim):
-        w = np.zeros(dim)
-        w[i] = 1.0
-        for _ in range(2):  # re-orthogonalize for clean residuals
-            for v in vecs:
-                w = w - np.dot(w, v) * v
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-10:
-            vecs.append(w / nw)
-        if len(vecs) == dim:
-            break
-    assert len(vecs) == dim
-    return np.column_stack(vecs[2:])
-
-
-def fiber_candidates(N: int, rng: np.random.Generator,
-                     count: int) -> tuple[np.ndarray, np.ndarray]:
-    """count uniform points in the radius-sqrt(2) ball of the slice, as rows z
-    of isometric pair coordinates (f block then g block), and the mask inside
-    of the rows whose f and g both lie in the unit ball (r=0). The accepted
-    rows z[inside] are uniform on the slice within the product of unit balls.
-    """
-    N = check_degree(N)
-    if N < 1:
-        raise ValueError("the slice construction needs N >= 1")
-    half = 4 * N + 2
-    frame = _fiber_frame(N)
-    d = frame.shape[1]
-    w = rng.standard_normal((count, d))
-    radii = _SQRT2 * rng.random(count) ** (1.0 / d)
-    norms = np.linalg.norm(w, axis=1)
-    norms[norms == 0.0] = 1.0
-    z = (w * (radii / norms)[:, None]) @ frame.T
-    nf = np.einsum("ij,ij->i", z[:, :half], z[:, :half])
-    ng = np.einsum("ij,ij->i", z[:, half:], z[:, half:])
-    return z, (nf <= 1.0) & (ng <= 1.0)
-
-
-def fiber_speed_dets(N: int, z: np.ndarray) -> np.ndarray:
-    """|det(f'(0), g'(0))| for rows of isometric pair coordinates (r=0)."""
-    half = 4 * N + 2
-    j = np.arange(1, N + 1, dtype=float)
-    xb = 2 + 4 * (np.arange(N)) + 1
-    yb = xb + 2
-    fx = z[:, xb] @ j
-    fy = z[:, yb] @ j
-    gx = z[:, half + xb] @ j
-    gy = z[:, half + yb] @ j
-    return np.abs(fx * gy - fy * gx)

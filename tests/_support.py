@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: curve builders and hypothesis strategies."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import strategies as st
@@ -104,3 +105,80 @@ def all_pairs_oracle(f: TrigCurve, g: TrigCurve, M: int) -> tuple[int, bool]:
     resolution's polylines evaluated on their own."""
     counts = [all_pairs_cross_count(f, g, m) for m in (M, 2 * M, 4 * M)]
     return counts[2], counts[0] == counts[1] == counts[2]
+
+
+# The slice sampler as it stood before the reduced draws of
+# chain.slice_attempts: a Gram-Schmidt frame of the slice and a full
+# (8N+2)-dimensional Gaussian per attempt. Kept as the reference for the
+# reduced draws' law.
+
+@lru_cache(maxsize=None)
+def fiber_frame(N: int) -> np.ndarray:
+    """Orthonormal basis (as columns) of the slice {f(0) = g(0)} inside the
+    isometric pair coordinates, built by Gram-Schmidt: the two constraint
+    normals first, then completed from the standard basis.
+    """
+    half = 4 * N + 2
+    dim = 2 * half
+    n1 = np.zeros(dim)
+    n2 = np.zeros(dim)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    n1[0] = inv_sqrt2
+    n2[1] = inv_sqrt2
+    n1[half] = -inv_sqrt2
+    n2[half + 1] = -inv_sqrt2
+    for j in range(1, N + 1):
+        base = 2 + 4 * (j - 1)
+        n1[base] = 1.0  # x cosine coefficients enter f(0).x with weight 1 at r=0
+        n2[base + 2] = 1.0
+        n1[half + base] = -1.0
+        n2[half + base + 2] = -1.0
+    vecs = [n1 / np.linalg.norm(n1), n2 / np.linalg.norm(n2)]
+    for i in range(dim):
+        w = np.zeros(dim)
+        w[i] = 1.0
+        for _ in range(2):  # re-orthogonalize for clean residuals
+            for v in vecs:
+                w = w - np.dot(w, v) * v
+        nw = float(np.linalg.norm(w))
+        if nw > 1e-10:
+            vecs.append(w / nw)
+        if len(vecs) == dim:
+            break
+    assert len(vecs) == dim
+    return np.column_stack(vecs[2:])
+
+
+def fiber_candidates(N: int, rng: np.random.Generator,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count uniform points in the radius-sqrt(2) ball of the slice, as rows z
+    of isometric pair coordinates (f block then g block), and the mask inside
+    of the rows whose f and g both lie in the unit ball (r=0). The accepted
+    rows z[inside] are uniform on the slice within the product of unit balls.
+    """
+    if N < 1:
+        raise ValueError("the slice construction needs N >= 1")
+    half = 4 * N + 2
+    frame = fiber_frame(N)
+    d = frame.shape[1]
+    w = rng.standard_normal((count, d))
+    radii = math.sqrt(2.0) * rng.random(count) ** (1.0 / d)
+    norms = np.linalg.norm(w, axis=1)
+    norms[norms == 0.0] = 1.0
+    z = (w * (radii / norms)[:, None]) @ frame.T
+    nf = np.einsum("ij,ij->i", z[:, :half], z[:, :half])
+    ng = np.einsum("ij,ij->i", z[:, half:], z[:, half:])
+    return z, (nf <= 1.0) & (ng <= 1.0)
+
+
+def fiber_speed_dets(N: int, z: np.ndarray) -> np.ndarray:
+    """|det(f'(0), g'(0))| for rows of isometric pair coordinates (r=0)."""
+    half = 4 * N + 2
+    j = np.arange(1, N + 1, dtype=float)
+    xb = 2 + 4 * (np.arange(N)) + 1
+    yb = xb + 2
+    fx = z[:, xb] @ j
+    fy = z[:, yb] @ j
+    gx = z[:, half + xb] @ j
+    gy = z[:, half + yb] @ j
+    return np.abs(fx * gy - fy * gx)

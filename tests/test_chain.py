@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import linalg, stats
 
+import curvecross.chain as chain
 from curvecross.chain import (
     assemble_mean_from_chain,
     assembly_prefactors,
@@ -12,12 +14,15 @@ from curvecross.chain import (
     fiber_mc_check,
     k_of_A,
     run_chain,
+    slice_attempts,
     xi_closed_form,
     xi_quadrature,
 )
-from curvecross.curves import point_radius_bound
-from curvecross.exact import mean_intersections_exact
-from curvecross.sampling import SeedSpec, fiber_candidates, fiber_speed_dets
+from curvecross.curves import derivative, evaluate, point_radius_bound
+from curvecross.exact import lambda_sq, mean_intersections_exact
+from curvecross.sampling import SeedSpec, _iso_rows
+
+from _support import fiber_candidates, fiber_speed_dets
 
 
 class TestKofA:
@@ -126,12 +131,11 @@ class TestAssembly:
 
 class TestFiberCheck:
     def test_integrand_nonnegative(self):
-        z, _ = fiber_candidates(2, SeedSpec(8).rng(), 500)
-        assert np.all(fiber_speed_dets(2, z) >= 0.0)
+        assert np.all(slice_attempts(2, SeedSpec(8).rng(), 500).dets >= 0.0)
 
     def test_too_few_accepted(self):
         # 2 attempts can leave 0 or 1 accepted draws, too few for a variance
-        for seed, accepted in ((6, 0), (1, 1)):
+        for seed, accepted in ((3, 0), (1, 1)):
             with pytest.raises(ValueError, match=f"accepted {accepted} of 2"):
                 fiber_mc_check(1, 2, SeedSpec(seed))
 
@@ -150,6 +154,101 @@ class TestFiberCheck:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             fiber_mc_check(4, 1000, SeedSpec(0))
+
+
+def _slice_directions(N: int):
+    """Within one block of isometric coordinates (r=0): the constraint
+    normals n_x, n_y, the speed functionals w_x, w_y, and an orthonormal
+    basis (as columns) of the rest of the block."""
+    half = 4 * N + 2
+    n_x, n_y, w_x, w_y = np.zeros((4, half))
+    n_x[0] = n_y[1] = 1.0 / math.sqrt(2.0)
+    for j in range(1, N + 1):
+        base = 2 + 4 * (j - 1)
+        n_x[base], w_x[base + 1], n_y[base + 2], w_y[base + 3] = 1.0, j, 1.0, j
+    rest = linalg.null_space(np.stack([n_x, n_y, w_x, w_y]))
+    assert rest.shape == (half, 4 * N - 2)
+    return n_x, n_y, w_x, w_y, rest
+
+
+class TestSliceAttempts:
+    """The reduced draws of the slice Monte Carlo: lifted back to full pair
+    coordinates (exact), and in law against the Gram-Schmidt reference."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_lift_reproduces_every_value(self, N):
+        count = 300
+        draws = slice_attempts(N, SeedSpec(21).rng(), count)
+        n_x, n_y, w_x, w_y, rest = _slice_directions(N)
+        g1, g2, g3, g4, q_f, q_g, s = draws.coords
+        assert np.all(q_f > 0.0) and np.all(q_g > 0.0) and np.all(s > 0.0)
+        rng = np.random.default_rng(0)
+
+        def rest_part(q):
+            v = rng.standard_normal((count, rest.shape[1]))
+            return np.sqrt(q / np.einsum("ij,ij->i", v, v))[:, None] * v @ rest.T
+
+        theta = rng.uniform(0.0, 2.0 * math.pi, count)
+        shared = np.sqrt(s / 2.0)[:, None] * (np.cos(theta)[:, None] * n_x / np.linalg.norm(n_x)
+                                              + np.sin(theta)[:, None] * n_y / np.linalg.norm(n_y))
+        k = np.sqrt(draws.k_sq)[:, None]
+        ux, uy = w_x / np.linalg.norm(w_x), w_y / np.linalg.norm(w_y)
+        z_f = k * (g1[:, None] * ux + g2[:, None] * uy + rest_part(q_f) + shared)
+        z_g = k * (g3[:, None] * ux + g4[:, None] * uy + rest_part(q_g) + shared)
+        np.testing.assert_allclose(np.einsum("ij,ij->i", z_f, z_f), draws.sq_f, rtol=1e-12)
+        np.testing.assert_allclose(np.einsum("ij,ij->i", z_g, z_g), draws.sq_g, rtol=1e-12)
+        fs, gs = _iso_rows(N, 0, z_f), _iso_rows(N, 0, z_g)
+        for i in range(count):
+            f, g = fs.curve(i), gs.curve(i)
+            pf, pg = evaluate(f, 0.0), evaluate(g, 0.0)
+            assert math.hypot(pf.x - pg.x, pf.y - pg.y) <= 1e-12
+            vf, vg = derivative(f, 0.0), derivative(g, 0.0)
+            det = abs(vf.x * vg.y - vf.y * vg.x)
+            assert det == pytest.approx(draws.dets[i], rel=1e-10,
+                                        abs=1e-12 * math.hypot(*vf) * math.hypot(*vg))
+        norms = np.maximum(fs.norms(0), gs.norms(0))
+        clear = np.abs(norms - 1.0) > 1e-12
+        assert clear.sum() >= count - 1
+        np.testing.assert_array_equal(draws.inside[clear], norms[clear] <= 1.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_law_matches_reference(self, N):
+        count = 100_000
+        draws = slice_attempts(N, SeedSpec(23).rng(), count)
+        z, inside = fiber_candidates(N, SeedSpec(24).rng(), count)
+        p_new, p_ref = draws.inside.mean(), inside.mean()
+        p = 0.5 * (p_new + p_ref)
+        assert abs(p_new - p_ref) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / count)
+        ks = stats.ks_2samp(draws.dets[draws.inside], fiber_speed_dets(N, z[inside]))
+        assert ks.pvalue > 1e-3
+
+    def test_scale_of_the_speed_functional(self):
+        draws = slice_attempts(3, SeedSpec(25).rng(), 50)
+        g1, g2, g3, g4 = draws.coords[:4]
+        np.testing.assert_allclose(
+            draws.dets, 14.0 * draws.k_sq * np.abs(g1 * g4 - g2 * g3), rtol=1e-15)
+        assert lambda_sq(3, 0) == 14
+
+    def test_deterministic(self):
+        a = slice_attempts(1, SeedSpec(4, 9).rng(), 100)
+        b = slice_attempts(1, SeedSpec(4, 9).rng(), 100)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a.coords, slice_attempts(1, SeedSpec(4, 10).rng(), 100).coords)
+
+    def test_each_degree_draws_its_own_stream(self, monkeypatch):
+        first = {}
+        real = chain.slice_attempts
+
+        def spy(N, rng, count):
+            first.setdefault(N, rng.bit_generator.state["state"])
+            return real(N, rng, count)
+
+        monkeypatch.setattr(chain, "slice_attempts", spy)
+        report = run_chain((1, 2, 3), fiber_attempts=1000, seed=SeedSpec(12))
+        assert [s.name for s in report.steps if s.name.startswith("fiber_mc")] == [
+            "fiber_mc_N1", "fiber_mc_N2", "fiber_mc_N3"]
+        assert first == {N: SeedSpec(12).rng(N).bit_generator.state["state"] for N in (1, 2, 3)}
+        assert len({state["state"] for state in first.values()}) == 3
 
 
 class TestRunChain:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from curvecross.chain import slice_attempts
 from curvecross.curves import TrigCurve, evaluate, norm
 from curvecross.exact import tau
 from curvecross.sampling import (
@@ -11,7 +12,6 @@ from curvecross.sampling import (
     SeedSpec,
     _iso_rows,
     _stream_states,
-    fiber_candidates,
     sample_max_norm_weighted_pair,
     sample_max_norm_weighted_pairs,
     sample_pair,
@@ -19,7 +19,7 @@ from curvecross.sampling import (
     sample_unit_ball_curve,
 )
 
-from _support import iso_coordinates, unit_circle
+from _support import fiber_candidates, iso_coordinates, unit_circle
 
 
 def iso_to_coeffs_loop(N, r, u):
@@ -288,7 +288,9 @@ class TestMaxNormWeightedPair:
 
 class TestFiberPair:
     """Pairs on the slice {f(0) = g(0)} inside both unit balls, as accepted
-    rows of fiber_candidates."""
+    rows of the reference slice sampler _support.fiber_candidates; the
+    reduced draws of chain.slice_attempts are checked against it in
+    tests/test_chain.py."""
 
     def test_constraint_and_membership(self):
         N = 2
@@ -309,7 +311,7 @@ class TestFiberPair:
 
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValueError):
-            fiber_candidates(0, SeedSpec(0).rng(), 10)
+            slice_attempts(0, SeedSpec(0).rng(), 10)
 
     def test_deterministic(self):
         za, ia = fiber_candidates(1, SeedSpec(4, 9).rng(), 100)
