@@ -19,7 +19,7 @@ from curvecross.chain import (
     xi_quadrature,
 )
 from curvecross.curves import derivative, evaluate, point_radius_bound
-from curvecross.exact import lambda_sq, mean_intersections_exact
+from curvecross.exact import mean_intersections_exact
 from curvecross.sampling import SeedSpec, _iso_rows
 
 from _support import fiber_candidates, fiber_speed_dets
@@ -221,13 +221,6 @@ class TestSliceAttempts:
         assert abs(p_new - p_ref) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / count)
         ks = stats.ks_2samp(draws.dets[draws.inside], fiber_speed_dets(N, z[inside]))
         assert ks.pvalue > 1e-3
-
-    def test_scale_of_the_speed_functional(self):
-        draws = slice_attempts(3, SeedSpec(25).rng(), 50)
-        g1, g2, g3, g4 = draws.coords[:4]
-        np.testing.assert_allclose(
-            draws.dets, 14.0 * draws.k_sq * np.abs(g1 * g4 - g2 * g3), rtol=1e-15)
-        assert lambda_sq(3, 0) == 14
 
     def test_deterministic(self):
         a = slice_attempts(1, SeedSpec(4, 9).rng(), 100)
