@@ -37,7 +37,7 @@ CONFIRM_PAIRS = 3
 TRACED_PAIRS = 5
 TRACED = ("intersect.count_self_s", "intersect.count_busy_s", "curves.eval_busy_s",
           "sampling.busy_s", "montecarlo.self_s", "trace.overhead")
-MICRO_PAIRS = 3
+MICRO_PAIRS = 5
 
 # Microseconds per pair, printed as one JSON line: each sampler the package
 # has, on 64 indices of seed 1 at r=0 (timeit, fastest of 5);

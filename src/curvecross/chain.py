@@ -142,15 +142,14 @@ def _log_pair_ball_volume(N: int) -> float:
     return 2.0 * ball_volume_even(2 * N + 1).log()
 
 
-def assemble_mean_from_chain(N: int, use_closed_form: bool = False) -> float:
+def assemble_mean_from_chain(N: int) -> float:
     """Rebuild the expected crossing count from the integral chain: outer
     quadrature over the pinned-value radius A of 2 pi A * Xi(A)^2, the
     constant prefactors, the torus volume, and the product-ball volume."""
     if not 1 <= N <= 8:
         raise ValueError("chain assembly is guarded for 1 <= N <= 8")
-    xi = xi_closed_form if use_closed_form else xi_quadrature
     a_max = point_radius_bound(N, 0)
-    outer = _quad(lambda A: 2.0 * math.pi * A * xi(A, N) ** 2, 0.0, a_max,
+    outer = _quad(lambda A: 2.0 * math.pi * A * xi_quadrature(A, N) ** 2, 0.0, a_max,
                   rel=1e-10)
     pre = assembly_prefactors(N)
     logv = (

@@ -206,22 +206,38 @@ class TestAsymptoteRatio:
 
 
 class TestSeriesLimits:
-    # oracle values computed independently with 30-digit arithmetic
+    # 30-digit values of the two series, summed term by term with mpmath.nsum
     ORACLE = {
-        2: (0.89907364028134509045, 1.7981472805626901809),
-        5: (0.16975016342299017124, 1.3348306682543136798),
+        2: (0.899073640281345090452910062169, 1.79814728056269018090582012434),
+        3: (0.315165728461432874798015016123, 1.52662370241140792704001435425),
+        5: (0.169750163422990171235883456161, 1.33483066825431367982105476375),
+        10: (0.090911954241004157396726688841, 1.18181961284158516891879203971),
+        20: (0.0476190476217761038109719302665, 1.09523809523945948029412625278),
+        40: (0.0243902439024390243902463839809, 1.04878048780487804878048904565),
+        100: (0.00990099009900990099009900990099, 1.0198019801980198019801980198),
     }
 
-    @pytest.mark.parametrize("r", [2, 5])
+    @pytest.mark.parametrize("r", sorted(ORACLE))
     def test_against_high_precision_oracle(self, r):
         lam, mun = metric_series_limits(r)
         lam_ref, mu_ref = self.ORACLE[r]
-        assert lam == pytest.approx(lam_ref, rel=1e-11)
-        assert mun == pytest.approx(mu_ref, rel=1e-11)
+        assert lam == pytest.approx(lam_ref, rel=1e-13)
+        assert mun == pytest.approx(mu_ref, rel=1e-13)
 
     def test_requires_second_order(self):
         with pytest.raises(ValueError):
             metric_series_limits(1)
+
+    def test_second_order_limit_is_pi(self):
+        lam, mun = metric_series_limits(2)
+        assert 2 * math.pi * lam / mun == pytest.approx(math.pi, rel=2e-15, abs=0)
+        assert mun == pytest.approx(2 * lam, rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("r", range(5, 61))
+    def test_large_order_follows_2pi_over_r_plus_3(self, r):
+        lam, mun = metric_series_limits(r)
+        limit = 2 * math.pi * lam / mun
+        assert abs(limit / (2 * math.pi / (r + 3)) - 1) <= 4 * r * 4.0**-r + 1e-13
 
 
 class TestSobolevLimitReport:
@@ -265,3 +281,8 @@ class TestSobolevLimitReport:
         per_degree = [mv.approx / N for N, mv in rep.rows]
         assert max(per_degree) / min(per_degree) < 1.05
         assert rep.candidate_limit is None
+
+    def test_first_order_slope_is_2_tanh_pi(self):
+        rep = sobolev_limit_report(1, [10, 100, 1000])
+        for N, mv in rep.rows:
+            assert 0 < 2 * math.tanh(math.pi) - mv.approx / N <= 0.65 / N
