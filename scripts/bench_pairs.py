@@ -6,8 +6,8 @@ on the held-out seed 7919; then 5 pairs of traced runs on seed 1. Each
 checkout runs its own copy of the benchmark, so give both the same
 ``benchmarks/`` tree. Reports both git SHAs, the machine notes, and, per
 workload and metric, each side's runs, median and quartiles and how many
-pairs the change won. Then 3 alternating pairs of processes time per-pair
-sampling, one-pair counting, block counting per cell at N 4 and 8, and the
+pairs the change won. Then 5 alternating pairs of processes time per-pair
+sampling, one-pair counting, block counting per cell at N 1, 2, 4 and 8, and the
 polyline oracle at N 1..3, and per call ``exact --sweep 1..200`` at r 0, 1
 and 2, ``verify --N 1..3 --fiber-attempts 200000`` and the slice Monte
 Carlo ``fiber_mc_check`` at N 1..3 with 200,000 attempts, in each
@@ -43,7 +43,7 @@ MICRO_PAIRS = 5
 # has, on 64 indices of seed 1 at r=0 (timeit, fastest of 5);
 # count_intersections on 300 pre-sampled r=0 pairs (fastest of 7 passes);
 # count_intersections_many on 4 blocks of 64 pre-sampled pairs of seed 1 per
-# cell at N 4 and 8, r 0 and 1 (fastest of 5 passes), the per-cell figure the
+# cell at N 1, 2, 4 and 8, r 0 and 1 (fastest of 5 passes), the per-cell figure the
 # traced report lacks for the block counter; brute_force_count on 8
 # pre-sampled r=0 pairs at N 1..3 (fastest of 3 passes). Microseconds per
 # call: the CLI's `exact --sweep 1..200` at r 0, 1 and 2 and `verify --N 1..3
@@ -80,7 +80,7 @@ for N in (1, 2):
     best = fastest(lambda: [count_intersections(p.f, p.g) for p in pairs], 7)
     out[f"count_intersections_one_pair_N{N}"] = best / 300 * 1e6
 if hasattr(I, "count_intersections_many") and hasattr(S, "sample_pairs"):
-    for N in (4, 8):
+    for N in (1, 2, 4, 8):
         for r in (0, 1):
             blocks = [S.sample_pairs(N, r, 1, range(k, k + 64)) for k in range(0, 256, 64)]
             best = fastest(lambda: [I.count_intersections_many(f, g) for f, g in blocks], 5)
@@ -225,8 +225,8 @@ def notes(machine: dict) -> list:
         f"micro_us_per_pair: {MICRO_PAIRS} alternating pairs of processes, each timing per-pair "
         "sampling at N 1, 2 and 8 (r=0, 64 indices of seed 1, timeit fastest of 5), "
         "count_intersections on one pair at N 1 and 2 (300 pre-sampled r=0 pairs, fastest of 7 "
-        "passes), count_intersections_many per cell at N 4 and 8, r 0 and 1 (4 blocks of 64 "
-        "pre-sampled pairs of seed 1, fastest of 5 passes) and brute_force_count at N 1..3 "
+        "passes), count_intersections_many per cell at N 1, 2, 4 and 8, r 0 and 1 (4 blocks of "
+        "64 pre-sampled pairs of seed 1, fastest of 5 passes) and brute_force_count at N 1..3 "
         "(8 pre-sampled r=0 pairs, fastest of 3 passes). Per timing: each process's value "
         "per side, their stats, change_wins over the process pairs, and each side's fastest "
         "value.",

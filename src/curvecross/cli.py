@@ -271,7 +271,8 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--distribution", type=str, default="uniform",
                    help="'uniform' or 'maxnorm:<k>'")
-    p.add_argument("--seg-target", dest="seg_target", type=float, default=None)
+    p.add_argument("--seg-target", dest="seg_target", type=float, default=None,
+                   help="polyline chord-length target (no effect at N = 1)")
     p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
     p.add_argument("--out", type=str, default=None, help="write the summary JSON here")
     p.add_argument("--csv", type=str, default=None, help="write per-sample CSV here")
@@ -289,7 +290,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="count crossings of two curve files")
     p.add_argument("curve_f")
     p.add_argument("curve_g")
-    p.add_argument("--seg-target", dest="seg_target", type=float, default=None)
+    p.add_argument("--seg-target", dest="seg_target", type=float, default=None,
+                   help="polyline chord-length target (no effect at N = 1)")
     p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
     p.set_defaults(func=cmd_count)
 

@@ -1,14 +1,22 @@
 """Counting the crossings of two closed trigonometric plane curves.
 
-Pipeline, as numpy array passes over a block of equal-degree pairs: adaptive
-closed polylines of every curve from one evaluation -> candidate segment
-pairs from one sort and sweep over the segment boxes of all pairs, each
-pair's boxes shifted into an x band of its own -> strict segment-crossing
-tests -> one batched 2-D Newton refinement of every seed on the parameter
-torus -> dedup over the pairwise torus gaps within each pair. Anything that
-looks non-transversal (refinement failure, near-singular Jacobian, odd
-total, overlapping polyline geometry) raises the ``degenerate`` flag instead
-of guessing.
+Degree one: every curve is an ellipse c + A (cos, sin), so the crossings of
+a pair are the unit-circle roots of one quartic (``_count_degree_one``).
+Each pair is normalized to a common centre and scale, the quartics of a
+block are solved by one batch of 4x4 companion eigenvalues, and the roots
+on the unit circle seed the Newton polish below; a near-double root is a
+touch and raises the flag. No polyline is drawn, so ``seg_target`` has no
+effect there.
+
+Higher degrees, as numpy array passes over a block of equal-degree pairs:
+adaptive closed polylines of every curve from one evaluation -> candidate
+segment pairs from one sort and sweep over the segment boxes of all pairs,
+each pair's boxes shifted into an x band of its own -> strict
+segment-crossing tests -> one batched 2-D Newton refinement of every seed
+on the parameter torus -> dedup over the pairwise torus gaps within each
+pair. Anything that looks non-transversal (refinement failure,
+near-singular Jacobian, odd total, overlapping polyline geometry) raises
+the ``degenerate`` flag instead of guessing.
 
 Polylines and Newton share one kernel, ``curves.horner``: a coordinate is
 its constant term plus Re of a Horner sum of the coefficients a_j - i*b_j
@@ -20,10 +28,11 @@ of g (``count_intersections_many``); ``count_intersections`` is its one-pair
 call, on the one-row blocks that two curves view. Every stage treats each
 pair apart from the others: candidates are tested on the unshifted boxes
 together with a same-pair test, each value's Horner sum runs element by
-element in an order fixed by the degree, and dedup compares roots of one
-pair only. A pair's result is therefore bit-identical whether it is counted
-alone or in any block. A block holds at most ``_BLOCK_VERTICES`` polyline
-vertices, which bounds its arrays.
+element in an order fixed by the degree, each quartic has its own
+eigenvalue call, and dedup compares roots of one pair only. A pair's result
+is therefore bit-identical whether it is counted alone or in any block. A
+block holds at most ``_BLOCK_VERTICES`` polyline vertices, or
+``_DEGREE_ONE_PAIRS`` degree-one pairs, which bounds its arrays.
 """
 
 from __future__ import annotations
@@ -48,6 +57,16 @@ _BLOCK_VERTICES = 1 << 13
 # expansion takes this many overlapping chunk pairs at once
 _ORACLE_CHUNK = 8
 _ORACLE_BATCH = 1024
+# degree-one pairs solved together, which bounds their arrays
+_DEGREE_ONE_PAIRS = 1024
+# a quartic root this close to the unit circle seeds Newton
+_CIRCLE_TOL = 1e-7
+# |det A| / |A|_F^2 of both matrices at most this: no inverse to trust
+_SINGULAR = 1e-6
+# p at most this times the size of its terms: the two images coincide
+_FLAT = 1e-12
+# e^{i theta} at the eight angles 2*pi*k/8 where p is sampled
+_SAMPLE_Z = np.exp(2j * np.pi * np.arange(8) / 8)
 
 __all__ = [
     "CountingConfig",
@@ -65,8 +84,9 @@ class CountingConfig:
     """Tunables for the crossing counter.
 
     seg_target is the polyline chord-length target; None resolves to 2% of
-    the value-disc radius for the curves' degree. newton_tol is a step size
-    in parameter space; dedupe_radius a torus distance.
+    the value-disc radius for the curves' degree. It has no effect at degree
+    one, where no polylines are drawn. newton_tol is a step size in
+    parameter space; dedupe_radius a torus distance.
     """
 
     seg_target: float | None = None
@@ -330,6 +350,15 @@ def _count_block(f: CurveRows, g: CurveRows, ks: np.ndarray, mf, mg,
     step = TWO_PI / m
     phi, psi, det, ok = _newton_batch(rows[p], offset[p], (i + t) * step[p], (j + s) * step[n + p],
                                       _res_tol(f.degree, cfg), cfg)
+    return _results(n, p, phi, psi, det, ok, touch, 1.0, cfg)
+
+
+def _results(n: int, p, phi, psi, det, ok, flagged, det_scale, cfg: CountingConfig):
+    """The results of n pairs from their Newton runs: seed k of pair p[k]
+    ended at (phi[k], psi[k]) with det[k], converged where ok. A pair is
+    degenerate where flagged, where a seed failed, where its total is odd or
+    where its smallest |det| is below the threshold; det_scale (a scalar or
+    one value per pair) takes that |det| into the caller's units."""
     failed = np.bincount(p[~ok], minlength=n) > 0
     kept = np.flatnonzero(ok)
     kept = kept[_first_of_clusters(phi[kept], psi[kept], p[kept], cfg.dedupe_radius)]
@@ -340,10 +369,103 @@ def _count_block(f: CurveRows, g: CurveRows, ks: np.ndarray, mf, mg,
     min_abs_det = np.full(n, math.inf)
     found = count > 0
     min_abs_det[found] = np.minimum.reduceat(np.abs(det[kept]), (ends - count)[found])
-    degenerate = touch | failed | (count % 2 == 1) | (min_abs_det < cfg.degeneracy_threshold)
+    degenerate = flagged | failed | (count % 2 == 1) | (min_abs_det < cfg.degeneracy_threshold)
     return [IntersectionResult(c, solutions[e - c:e], d, bad)
-            for c, e, d, bad in zip(count.tolist(), ends.tolist(), min_abs_det.tolist(),
-                                    degenerate.tolist())]
+            for c, e, d, bad in zip(count.tolist(), ends.tolist(),
+                                    (min_abs_det * det_scale).tolist(), degenerate.tolist())]
+
+
+def _count_degree_one(f: CurveRows, g: CurveRows, ks: np.ndarray,
+                      cfg: CountingConfig) -> list[IntersectionResult]:
+    """Results for the degree-one pairs (f[k], g[k]), k in ks, none of them
+    with a constant curve, from the roots of one quartic per pair.
+
+    Each pair is first moved to a common centre and divided by a common
+    scale, so its count and flag do not depend on a common rotation,
+    translation or scaling. A curve is then c + A (cos, sin). With the
+    better-conditioned matrix, say A_g, inverted, B = A_g^-1 A_f and
+    d = A_g^-1 (c_f - c_g), the crossings are the zeros of
+    p(phi) = |d + B (cos phi, sin phi)|^2 - 1
+           = c0 + c1 cos phi + s1 sin phi + c2 cos 2phi + s2 sin 2phi,
+    and each phi fixes psi as the angle of d + B (cos phi, sin phi).
+
+    The roots are those of z^2 p, a quartic in z = e^{i phi}, taken in the
+    variable t of z = e^{i phi0} (1 + i t) / (1 - i t). In t it is the real
+    quartic (1 + t^2)^2 p(phi0 + 2 atan t), whose leading coefficient is
+    p(phi0 + pi). phi0 + pi is the angle of largest |p| among eight equally
+    spaced ones, so that coefficient is never small against the others
+    (p's coefficients are fixed averages of those eight samples), and one
+    batch of 4x4 companion eigenvalues serves every pair, a circle
+    pair's quadratic (B a similarity, c2 = s2 = 0) included: its quartic in t
+    has the extra factor 1 + t^2. The roots within _CIRCLE_TOL of the unit
+    circle in z seed the Newton polish on the torus; a seed root with
+    another root within dedupe_radius is a touch, flagged and not counted.
+    A pair is also flagged where p vanishes against its scale (coincident
+    images) or where both matrices are near-singular.
+    """
+    n = ks.size
+    # columns: x constant, x cos, x sin, y constant, y cos, y sin
+    fb, gb = (np.concatenate([a[ks] for a in rows.arrays], axis=1) for rows in (f, g))
+    fsq, gsq = (np.square(b[:, [1, 2, 4, 5]]).sum(axis=1) for b in (fb, gb))
+    # |det A| / |A|_F^2, at most 1/2: a scale-free conditioning of each matrix
+    fcond, gcond = (np.abs(b[:, 1] * b[:, 5] - b[:, 2] * b[:, 4]) / sq
+                    for b, sq in ((fb, fsq), (gb, gsq)))
+    scale = np.sqrt((fsq + gsq) / 2.0)
+    centre = (fb[:, [0, 3]] + gb[:, [0, 3]]) / 2.0
+    for b in (fb, gb):
+        b[:, [0, 3]] -= centre
+        b /= scale[:, None]
+    singular = np.maximum(fcond, gcond) <= _SINGULAR
+    # the moving curve P and the inverted one Q: Q is g unless f's matrix is
+    # strictly better conditioned, so a swapped pair inverts the same matrix
+    swap = fcond > gcond
+    pb, qb = np.where(swap[:, None], gb, fb), np.where(swap[:, None], fb, gb)
+    p00, p01, p10, p11 = pb[:, [1, 2, 4, 5]].T
+    q00, q01, q10, q11 = qb[:, [1, 2, 4, 5]].T
+    qdet = np.where(singular, 1.0, q00 * q11 - q01 * q10)  # singular pairs are not solved
+    b00, b01 = (q11 * p00 - q01 * p10) / qdet, (q11 * p01 - q01 * p11) / qdet
+    b10, b11 = (q00 * p10 - q10 * p00) / qdet, (q00 * p11 - q10 * p01) / qdet
+    dx, dy = pb[:, 0] - qb[:, 0], pb[:, 3] - qb[:, 3]
+    d0, d1 = (q11 * dx - q01 * dy) / qdet, (q00 * dy - q10 * dx) / qdet
+    m00, m11, m01 = b00 * b00 + b10 * b10, b01 * b01 + b11 * b11, b00 * b01 + b10 * b11
+    c0 = (d0 * d0 + d1 * d1) + (m00 + m11) / 2.0 - 1.0
+    lin = 2.0 * (b00 * d0 + b10 * d1) - 2j * (b01 * d0 + b11 * d1)  # c1 - i s1
+    quad = (m00 - m11) / 2.0 - 1j * m01  # c2 - i s2
+    samples = c0[:, None] + (lin[:, None] * _SAMPLE_Z).real + (quad[:, None] * _SAMPLE_Z ** 2).real
+    top = np.argmax(np.abs(samples), axis=1)
+    peak = np.abs(samples[np.arange(n), top])
+    flat = ~singular & (peak <= _FLAT * (1.0 + d0 * d0 + d1 * d1 + m00 + m11))
+    solve = np.flatnonzero(~(singular | flat))
+
+    # p(phi0 + theta) = c0 + Re(w1 e^{i theta}) + Re(w2 e^{2i theta}), where
+    # e^{i phi0} = rot puts the largest sample at theta = pi; then the
+    # coefficients of (1 + t^2)^2 p in t = tan(theta / 2), highest first
+    rot = -_SAMPLE_Z[top[solve]]
+    w1, w2 = lin[solve] * rot, quad[solve] * rot * rot
+    a0, c1, s1, c2, s2 = c0[solve], w1.real, -w1.imag, w2.real, -w2.imag
+    lead = a0 - c1 + c2
+    companion = np.zeros((solve.size, 4, 4))
+    companion[:, 0] = -np.stack((2.0 * s1 - 4.0 * s2, 2.0 * a0 - 6.0 * c2, 2.0 * s1 + 4.0 * s2,
+                                 a0 + c1 + c2), axis=1) / lead[:, None]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    t = np.linalg.eigvals(companion)
+    up, down = 1.0 + 1j * t, 1.0 - 1j * t  # z = rot * up / down
+    near = np.abs(np.abs(up) - np.abs(down)) <= _CIRCLE_TOL * np.abs(down)
+    # |z_a - z_b| = 2 |t_a - t_b| / (|down_a| |down_b|); the diagonal is close
+    close = (2.0 * np.abs(t[:, :, None] - t[:, None, :])
+             <= cfg.dedupe_radius * np.abs(down)[:, :, None] * np.abs(down)[:, None, :])
+    touch = near & (close.sum(axis=2) > 1)
+    flagged = singular | flat
+    flagged[solve] = touch.any(axis=1)
+    r, col = np.nonzero(near & ~touch)
+    p = solve[r]
+    theta = np.angle(rot[r] * up[r, col] * np.conj(down[r, col]))
+    cos, sin = np.cos(theta), np.sin(theta)
+    other = np.arctan2(d1[p] + b10[p] * cos + b11[p] * sin, d0[p] + b00[p] * cos + b01[p] * sin)
+    rows, offset = _pair_matrix(*((b[:, 0:2], b[:, 2:3], b[:, 3:5], b[:, 5:6]) for b in (fb, gb)))
+    phi, psi, det, ok = _newton_batch(rows[p], offset[p], np.where(swap[p], other, theta),
+                                      np.where(swap[p], theta, other), _res_tol(1, cfg), cfg)
+    return _results(n, p, phi, psi, det, ok, flagged, scale * scale, cfg)
 
 
 def count_intersections_many(f: CurveRows, g: CurveRows,
@@ -351,9 +473,11 @@ def count_intersections_many(f: CurveRows, g: CurveRows,
     """Count the solutions of f(phi) = g(psi) on the parameter torus for each
     pair of rows (f[k], g[k]).
 
-    Pairs are counted in blocks of at most _BLOCK_VERTICES polyline vertices
-    (a larger pair makes a block alone), each stage running once per block,
-    and each pair's result is bit-identical to counting it alone.
+    Degree-one pairs are solved from a quartic per pair (_count_degree_one),
+    up to _DEGREE_ONE_PAIRS at a time. Pairs of higher degree are counted on
+    polylines in blocks of at most _BLOCK_VERTICES vertices (a larger pair
+    makes a block alone), each stage running once per block. Either way each
+    pair's result is bit-identical to counting it alone.
     """
     cfg = cfg or CountingConfig()
     if f.degree != g.degree:
@@ -363,25 +487,50 @@ def count_intersections_many(f: CurveRows, g: CurveRows,
     results: list = [None] * len(f)
     if not results:
         return results
-    seg_target = cfg.resolved_seg_target(f.degree)
-    live = []
-    for k, (lf, lg) in enumerate(zip(lipschitz_bounds(f), lipschitz_bounds(g))):
-        if lf == 0.0 and lg == 0.0:
+    fmoves, gmoves = _moving(f), _moving(g)
+    for k in np.flatnonzero(~(fmoves & gmoves)).tolist():
+        if not (fmoves[k] or gmoves[k]):
             # two constant maps: distinct points never meet, coincident ones overlap
             coincident = f.xa[k, 0] == g.xa[k, 0] and f.ya[k, 0] == g.ya[k, 0]
             results[k] = IntersectionResult(0, [], math.inf, bool(coincident))
-        elif lf == 0.0 or lg == 0.0:
+        else:
             # point versus curve: meets only on a measure-zero set; report no
             # crossings (a transversal crossing needs two moving branches)
             results[k] = IntersectionResult(0, [], math.inf, False)
-        else:
-            live.append((k, max(_MIN_VERTICES, math.ceil(TWO_PI * lf / seg_target)),
-                         max(_MIN_VERTICES, math.ceil(TWO_PI * lg / seg_target))))
-    for block in _blocks(live):
-        ks, mf, mg = zip(*block)
-        for k, res in zip(ks, _count_block(f, g, np.array(ks), mf, mg, cfg)):
+    live = np.flatnonzero(fmoves & gmoves)
+    blocks = _degree_one_blocks if f.degree == 1 else _polyline_blocks
+    for ks, block in blocks(f, g, live, cfg):
+        for k, res in zip(ks, block):
             results[k] = res
     return results
+
+
+def _moving(rows: CurveRows) -> np.ndarray:
+    """Whether each row has a non-zero harmonic coefficient: False marks a
+    constant map."""
+    xa, xb, ya, yb = rows.arrays
+    return np.concatenate((xa[:, 1:], xb, ya[:, 1:], yb), axis=1).any(axis=1)
+
+
+def _degree_one_blocks(f: CurveRows, g: CurveRows, live: np.ndarray, cfg: CountingConfig):
+    """(ks, results) of the pairs live of degree one, solved
+    _DEGREE_ONE_PAIRS at a time."""
+    for lo in range(0, live.size, _DEGREE_ONE_PAIRS):
+        ks = live[lo:lo + _DEGREE_ONE_PAIRS]
+        yield ks, _count_degree_one(f, g, ks, cfg)
+
+
+def _polyline_blocks(f: CurveRows, g: CurveRows, live: np.ndarray, cfg: CountingConfig):
+    """(ks, results) of the pairs live, counted block by block on polylines
+    whose chords are at most seg_target: a curve with speed bound L gets
+    2*pi*L / seg_target segments, and at least _MIN_VERTICES."""
+    seg_target = cfg.resolved_seg_target(f.degree)
+    lf, lg = lipschitz_bounds(f), lipschitz_bounds(g)
+    sized = [(k, max(_MIN_VERTICES, math.ceil(TWO_PI * lf[k] / seg_target)),
+              max(_MIN_VERTICES, math.ceil(TWO_PI * lg[k] / seg_target))) for k in live.tolist()]
+    for block in _blocks(sized):
+        ks, mf, mg = zip(*block)
+        yield ks, _count_block(f, g, np.array(ks), mf, mg, cfg)
 
 
 def _blocks(live):

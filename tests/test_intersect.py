@@ -15,6 +15,7 @@ from curvecross.intersect import (
     _first_of_clusters,
     _newton_batch,
     _pair_matrix,
+    _polyline_blocks,
     _polyline_crossings,
     brute_force_count,
     count_intersections,
@@ -364,6 +365,9 @@ class TestBlocks:
         f, g = sample_pairs(8, 0, 608, range(256))
 
         def peak(n):
+            # an untraced warm-up call first: the first call of a process holds
+            # one-time allocations that would be charged to whichever n ran first
+            count_intersections_many(first_rows(f, n), first_rows(g, n))
             tracemalloc.start()
             try:
                 count_intersections_many(first_rows(f, n), first_rows(g, n))
@@ -372,6 +376,127 @@ class TestBlocks:
                 tracemalloc.stop()
 
         assert peak(256) <= 1.5 * peak(32)
+
+
+def moved(c: TrigCurve, scale=1.0, theta=0.0, tx=0.0, ty=0.0) -> TrigCurve:
+    """The curve scaled by scale, rotated by theta and translated by (tx, ty)."""
+    c = rotate_curve(TrigCurve(c.degree, scale * c.xa, scale * c.xb, scale * c.ya, scale * c.yb),
+                     theta)
+    shift = np.zeros(c.degree + 1)
+    shift[0] = 1.0
+    return TrigCurve(c.degree, c.xa + tx * shift, c.xb, c.ya + ty * shift, c.yb)
+
+
+def ellipse(cx, cy, a00, a01, a10, a11) -> TrigCurve:
+    """(cx, cy) + [[a00, a01], [a10, a11]] (cos phi, sin phi)."""
+    return TrigCurve(1, [cx, a00], [a01], [cy, a10], [a11])
+
+
+class TestDegreeOne:
+    """The quartic counter, which counts every degree-one pair."""
+
+    @pytest.mark.parametrize("r,index,count", [(0, 10207, 4), (1, 1193, 4), (1, 5152, 2),
+                                               (1, 14967, 2)])
+    def test_polyline_census_misses(self, r, index, count):
+        # pairs of sample_pairs(1, r, 1, range(20000)) on which the polyline
+        # counter lost two crossings without a flag; the counts are the stable
+        # brute_force_count at M = 4,096
+        pair = sample_pair(1, r, SeedSpec(1, index))
+        res = count_intersections(pair.f, pair.g)
+        assert (res.count, res.degenerate) == (count, False)
+
+    @given(index=st.integers(0, 10**6), r=st.integers(0, 1), power=st.floats(-6.0, 3.0),
+           theta=st.floats(0.0, TWO_PI), reach=st.floats(0.0, 1e6), heading=st.floats(0.0, TWO_PI))
+    def test_similarity_and_swap_keep_count_and_flag(self, index, r, power, theta, reach, heading):
+        pair = sample_pair(1, r, SeedSpec(14, index))
+        base = count_intersections(pair.f, pair.g)
+        scale = 10.0 ** power
+        tx, ty = reach * math.cos(heading), reach * math.sin(heading)
+        for kwargs in ({"scale": scale}, {"theta": theta}, {"tx": tx, "ty": ty}):
+            res = count_intersections(moved(pair.f, **kwargs), moved(pair.g, **kwargs))
+            assert (res.count, res.degenerate) == (base.count, base.degenerate), kwargs
+        swapped = count_intersections(pair.g, pair.f)
+        assert (swapped.count, swapped.degenerate) == (base.count, base.degenerate)
+        if base.count:
+            # min_abs_det stays in the caller's units
+            small = count_intersections(moved(pair.f, scale), moved(pair.g, scale))
+            assert small.min_abs_det == pytest.approx(scale * scale * base.min_abs_det, rel=1e-9)
+
+    @pytest.mark.parametrize("cx", [0.3, 1.5, 1.999999, 2.0])
+    @pytest.mark.parametrize("bend", [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                                      (0.3, -0.2, 0.5, 0.1)])
+    def test_near_similarity(self, cx, bend):
+        # B = A_g^-1 A_f a similarity up to 1e-9: the quartic's leading
+        # coefficient is about 1e-9, and at cx = 2 the circles nearly touch
+        e = 1e-9 * np.array(bend)
+        g = ellipse(cx, 0.0, 1.0 + e[0], e[1], e[2], 1.0 + e[3])
+        res = count_intersections(unit_circle(), g)
+        count, stable = brute_force_count(unit_circle(), g, 4096)
+        assert stable
+        assert res.degenerate or res.count == count
+
+    @pytest.mark.filterwarnings("error")
+    def test_tangent_circles_flagged(self):
+        # circles touching from outside or inside, at 25 angles: rounding
+        # leaves the double root as two close real roots or as a pair just
+        # off the unit circle, and either way the pair must be flagged
+        for a in np.linspace(0.1, 6.2, 25):
+            for radius, distance in ((1.0, 2.0), (0.5, 1.5), (0.3, 0.7), (2.5, 1.5)):
+                g = circle_at(distance * math.cos(a), distance * math.sin(a), radius)
+                for f_, g_ in ((unit_circle(), g), (g, unit_circle())):
+                    assert count_intersections(f_, g_).degenerate, (a, radius)
+
+    @pytest.mark.filterwarnings("error")
+    def test_concentric_circles(self):
+        res = count_intersections(unit_circle(), circle_at(0.0, 0.0, 0.5))
+        assert (res.count, res.degenerate) == (0, False)
+
+    @pytest.mark.filterwarnings("error")
+    def test_segment_against_circle(self):
+        # f traces the segment from (-2, 0) to (2, 0) and back: its matrix is
+        # singular, g's is not, and each pass crosses the circle twice
+        segment = ellipse(0.0, 0.0, 2.0, 0.0, 0.0, 0.0)
+        for f, g in ((segment, unit_circle()), (unit_circle(), segment)):
+            res = count_intersections(f, g)
+            assert (res.count, res.degenerate) == (4, False)
+            for phi, psi in res.solutions:
+                p, q = evaluate(f, phi), evaluate(g, psi)
+                assert math.hypot(p.x - q.x, p.y - q.y) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("thin", [0.0, 1e-9])
+    def test_two_near_segments_flagged(self, thin):
+        res = count_intersections(ellipse(0.0, 0.0, 1.0, 0.0, 0.0, thin),
+                                  ellipse(0.0, 0.0, 0.0, thin, 1.0, 0.0))
+        assert res.degenerate
+
+    def test_seg_target_has_no_effect(self):
+        f, g = sample_pairs(1, 0, 615, range(64))
+        fine = count_intersections_many(f, g, CountingConfig(seg_target=1e-4))
+        default = count_intersections_many(f, g)
+        assert [result_key(a) for a in fine] == [result_key(b) for b in default]
+        assert sum(res.count for res in default) > 0
+
+
+class TestDegreeOneCensus:
+    """The quartic counter against the polyline counter that it replaced at
+    N = 1, on the census pairs: they differ only on the pinned misses."""
+
+    PINNED = {0: {10207}, 1: {1193, 5152, 14967}}
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_differs_only_on_pinned_misses(self, r):
+        f, g = sample_pairs(1, r, 1, range(20000))
+        cfg = CountingConfig()
+        quartic = count_intersections_many(f, g, cfg)
+        polyline = [None] * 20000
+        for ks, block in _polyline_blocks(f, g, np.arange(20000), cfg):
+            for k, res in zip(ks, block):
+                polyline[k] = res
+        differ = {k for k, (a, b) in enumerate(zip(quartic, polyline))
+                  if (a.count, a.degenerate) != (b.count, b.degenerate)}
+        assert differ <= self.PINNED[r]
+        assert sum(res.degenerate for res in quartic) <= sum(res.degenerate for res in polyline)
 
 
 class TestOracle:
